@@ -197,13 +197,14 @@ pub fn e21() -> String {
             Value::Int(reference::wavefront_corner(12)),
         ),
     ];
-    let mut t = Table::new(&[
-        "workload",
-        "threads",
-        "det ratio",
-        "legacy ratio",
-        "relaxed ratio",
-    ]);
+    let mut t = Table::new(&["workload", "backend", "x1", "x2", "x4"]);
+    let cell = |ratio: f64| {
+        if norm {
+            "(normalized)".to_string()
+        } else {
+            format!("{ratio:.2}x")
+        }
+    };
     for (name, src, inputs, expected) in cases {
         let p = ttda_idc::compile(src).expect("compiles");
         let (seq, base) = best_of_mode(&p, 1, RunMode::Sequential, &inputs, 5);
@@ -213,7 +214,9 @@ pub fn e21() -> String {
             .find(|(w, _)| *w == name)
             .map(|(_, r)| r)
             .expect("legacy constants cover every case");
-        for (k, threads) in [1usize, 2, 4].into_iter().enumerate() {
+        let mut det_row = vec![name.to_string(), "det".into()];
+        let mut rel_row = vec![name.to_string(), "relaxed".into()];
+        for threads in [1usize, 2, 4] {
             let (det, det_secs) = best_of_mode(&p, threads, RunMode::Deterministic, &inputs, 5);
             assert_eq!(det, seq, "{name} det at {threads} threads diverged");
             let (rel, rel_secs) = best_of_mode(&p, threads, RunMode::Relaxed, &inputs, 5);
@@ -239,30 +242,26 @@ pub fn e21() -> String {
                     legacy[0]
                 );
             }
-            let (det_col, rel_col) = if norm {
-                ("(normalized)".to_string(), "(normalized)".to_string())
-            } else {
-                (format!("{det_ratio:.2}x"), format!("{rel_ratio:.2}x"))
-            };
-            t.row_owned(vec![
-                name.into(),
-                threads.to_string(),
-                det_col,
-                format!("{:.2}x", legacy[k]),
-                rel_col,
-            ]);
+            det_row.push(cell(det_ratio));
+            rel_row.push(cell(rel_ratio));
         }
+        t.row_owned(det_row);
+        let mut legacy_row = vec![name.to_string(), "legacy".to_string()];
+        legacy_row.extend(legacy.iter().map(|r| format!("{r:.2}x")));
+        t.row_owned(legacy_row);
+        t.row_owned(rel_row);
     }
     out.push_str(&t.to_string());
     out.push_str(
-        "\nShape check: ratios are wall clock over the same-run sequential interpreter\n\
-         (lower is better; the legacy column is the pre-decoordination protocol\n\
-         measured on the reference container before the rewrite). On a single-core\n\
-         host the deterministic columns honestly show the remaining price of the\n\
-         bit-identical merge, while the relaxed backend — no coordinator, no wave\n\
-         barrier, no index-ordered merge — runs within noise of the sequential\n\
-         interpreter at one worker. Outputs are asserted bit-identical (det) or\n\
-         output-equal with confluent firing counts (relaxed) on every row.\n",
+        "\nShape check: ratios are wall clock at 1, 2 and 4 workers over the same-run\n\
+         sequential interpreter (lower is better; below 1.0x the backend beats it;\n\
+         the legacy row is the pre-decoordination protocol measured on the reference\n\
+         container before the rewrite). The deterministic rows show the price of the\n\
+         bit-identical merge. The relaxed backend — no coordinator, no wave barrier,\n\
+         no index-ordered merge, activities placed by context — needs no\n\
+         synchronization per token, so given real cores its x2 column can drop below\n\
+         the sequential interpreter. Outputs are asserted bit-identical (det) or\n\
+         output-equal with confluent firing counts (relaxed) in every cell.\n",
     );
     out
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p ttda-bench --bin experiments -- trace all --out target/traces
 //! cargo run --release -p ttda-bench --bin experiments -- all --normalize
 //! cargo run --release -p ttda-bench --bin experiments -- quickbench --out BENCH_matching.json
-//! cargo run --release -p ttda-bench --bin experiments -- quickbench --check BENCH_matching.json --istore-check BENCH_istore.json --service-check BENCH_service.json --par-check BENCH_par.json --opt-check BENCH_opt.json --sched-check BENCH_sched.json
+//! cargo run --release -p ttda-bench --bin experiments -- quickbench --suites opt,par --opt-out target/BENCH_opt.json --opt-check BENCH_opt.json --par-out target/BENCH_par.json --par-check BENCH_par.json
 //! cargo run --release -p ttda-bench --bin experiments -- opt --out target/opt
 //! cargo run --release -p ttda-bench --bin experiments -- quickbench --check BENCH_matching.json --rebaseline
 //! cargo run --release -p ttda-bench --bin experiments -- serve --load 1.5 --requests 64
@@ -23,7 +23,7 @@
 //! `with_threads(…)` calls inside an experiment (e16's sweep) still
 //! override it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ttda_bench::quickbench::Criterion;
@@ -72,6 +72,25 @@ fn load_baseline<P>(
     })
 }
 
+/// Whether `a` and `b` name one file once `.`, `..` and symlinks in
+/// their directories are resolved. Neither file needs to exist yet.
+fn same_file(a: &Path, b: &Path) -> bool {
+    fn resolve(p: &Path) -> PathBuf {
+        if let Ok(p) = std::fs::canonicalize(p) {
+            return p;
+        }
+        let dir = match p.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        match (std::fs::canonicalize(dir), p.file_name()) {
+            (Ok(d), Some(name)) => d.join(name),
+            _ => p.to_path_buf(),
+        }
+    }
+    resolve(a) == resolve(b)
+}
+
 /// `quickbench`: runs the named suites through the quickbench harness,
 /// writes the machine-readable `BENCH_matching.json` and (when the
 /// `istore` / `service` / `par` / `opt` / `sched` suites run)
@@ -82,7 +101,9 @@ fn load_baseline<P>(
 /// (>25% median ns/op growth on any shared target, or the same-run
 /// headline ratio moving the wrong way beyond the same factor, fails
 /// the run). `--rebaseline` rewrites each given baseline from the
-/// current run instead of gating against it.
+/// current run instead of gating against it. Without it, a report path
+/// that names the same file as a baseline path (the defaults included)
+/// exits 2 before anything runs.
 fn quickbench_main(args: &[String]) -> ExitCode {
     let mut out = PathBuf::from("BENCH_matching.json");
     let mut istore_out = PathBuf::from("BENCH_istore.json");
@@ -171,6 +192,39 @@ fn quickbench_main(args: &[String]) -> ExitCode {
     let run_par = which.iter().any(|s| s == "par");
     let run_opt = which.iter().any(|s| s == "opt");
     let run_sched = which.iter().any(|s| s == "sched");
+    // A gate must never compare a report with itself: refuse a run whose
+    // written report is also one of its baselines. (`--rebaseline`
+    // compares nothing, so there the overlap is harmless.)
+    if !rebaseline {
+        let written = [
+            (run_matching, &out),
+            (run_istore, &istore_out),
+            (run_service, &service_out),
+            (run_par, &par_out),
+            (run_opt, &opt_out),
+            (run_sched, &sched_out),
+        ];
+        let baselines = [
+            &check,
+            &istore_check,
+            &service_check,
+            &par_check,
+            &opt_check,
+            &sched_check,
+        ];
+        for (_, o) in written.iter().filter(|(runs, _)| *runs) {
+            for b in baselines.iter().copied().flatten() {
+                if same_file(o, b) {
+                    eprintln!(
+                        "error: {} is both a report this run writes and a baseline it checks; \
+                         give the report another --*-out path",
+                        o.display()
+                    );
+                    return ExitCode::from(2);
+                }
+            }
+        }
+    }
     // The throughput comparisons run first, in a still-cold process —
     // the state every real emulator run starts from. Window 32768: a
     // saturated matching section holds tens of thousands of parked

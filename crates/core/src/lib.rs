@@ -53,6 +53,7 @@ mod machine;
 pub mod matching;
 pub mod opt;
 mod par;
+mod place;
 mod relaxed;
 mod sched;
 mod tag;
@@ -69,11 +70,10 @@ pub use graph::{
 };
 pub use machine::{Job, Machine};
 pub use matching::MatchingStore;
+pub use place::MappingPolicy;
 pub use sched::SchedPolicy;
 pub use tag::{ActivityName, Ctx, Iter, Port, Token};
-pub use timed::{
-    MachineStats, MappingPolicy, StructPlacement, TimedConfig, TimedMachine, TimedResult,
-};
+pub use timed::{MachineStats, StructPlacement, TimedConfig, TimedMachine, TimedResult};
 pub use value::{AluOp, CmpOp, StructRef, TypeError, Value};
 
 use std::error::Error;

@@ -23,9 +23,10 @@
 //! order. `tests/properties.rs` drives it against a `HashMap` reference
 //! model to pin that equivalence down.
 //!
-//! The hash here is deliberately *not* the shard hash in the (private)
-//! `par` module: workers are chosen by mix13 over a lossy 48-bit
-//! packing, while slots use fibonacci folds of the full 128-bit name.
+//! The hash here is deliberately *not* the placement hash in the
+//! (private) `place` module: workers are chosen by mix13 over a lossy
+//! packing of the name, while slots use fibonacci folds of the full
+//! 128-bit name.
 //! If the two agreed, every key routed to one shard would also land in
 //! one probe chain of that shard's table, degenerating to a linked
 //! list. DESIGN.md §8 spells out the argument.
@@ -86,8 +87,8 @@ impl PackedName {
 
 /// The slot hash: fibonacci multiplies fold the two words, a mix13-style
 /// finalizer avalanches the result. Structurally unrelated to
-/// `par::worker_of` (mix13 over a lossy 48-bit packing), so the set of
-/// keys owned by one shard still spreads over that shard's buckets.
+/// `place::place` (mix13 over a lossy packing), so the set of keys
+/// owned by one worker still spreads over that worker's buckets.
 #[inline]
 fn slot_hash(key: PackedName) -> u64 {
     let mut x = key.hi.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
@@ -676,35 +677,41 @@ mod tests {
         assert!(m.high_water() < model_high || m.len() == model_high);
     }
 
-    /// Keys confined to a single `par.rs` shard must still spread across
-    /// this store's buckets: the slot hash may not be correlated with
-    /// the shard hash, or per-shard tables degenerate into one probe
-    /// chain (ISSUE 3's "shard hash ≠ slot hash" requirement).
+    /// Keys confined to a single worker must still spread across this
+    /// store's buckets under every placement policy: the slot hash may
+    /// not be correlated with `place`, or per-worker tables degenerate
+    /// into one probe chain.
     #[test]
     fn shard_resident_keys_spread_over_buckets() {
-        let workers = 4usize;
-        let mut buckets = std::collections::HashSet::new();
-        let mut in_shard = 0usize;
-        for u in 0..4000u32 {
-            let t = tag(u, 1, 2, 1);
-            if crate::par::worker_of(t, workers) != 0 {
-                continue;
+        use crate::place::{place, MappingPolicy};
+        for policy in [
+            MappingPolicy::Spread,
+            MappingPolicy::ByContext,
+            MappingPolicy::ByIteration,
+        ] {
+            let mut buckets = std::collections::HashSet::new();
+            let mut in_shard = 0usize;
+            for u in 0..4000u32 {
+                let t = tag(u, 1, 2, 1);
+                if place(policy, t, 4) != 0 {
+                    continue;
+                }
+                in_shard += 1;
+                let h = slot_hash(PackedName::pack(t));
+                buckets.insert(h as usize & (1024 - 1));
             }
-            in_shard += 1;
-            let h = slot_hash(PackedName::pack(t));
-            buckets.insert(h as usize & (1024 - 1));
+            assert!(
+                in_shard > 500,
+                "{policy:?}: worker 0 should own ~1/4 of keys, got {in_shard}"
+            );
+            // With ~1000 keys over 1024 buckets, a degenerate correlation
+            // would collapse to a handful of buckets; a sound hash fills
+            // most of the table (E[distinct] ≈ 1024·(1−e^{−1}) ≈ 647).
+            assert!(
+                buckets.len() > 400,
+                "{policy:?}: worker-0 keys collapsed onto {} buckets",
+                buckets.len()
+            );
         }
-        assert!(
-            in_shard > 500,
-            "shard hash should own ~1/4 of keys, got {in_shard}"
-        );
-        // With ~1000 keys over 1024 buckets, a degenerate correlation
-        // would collapse to a handful of buckets; a sound hash fills
-        // most of the table (E[distinct] ≈ 1024·(1−e^{−1}) ≈ 647).
-        assert!(
-            buckets.len() > 400,
-            "shard-0 keys collapsed onto {} buckets",
-            buckets.len()
-        );
     }
 }

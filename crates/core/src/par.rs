@@ -94,32 +94,11 @@ use crate::emu::EmuResult;
 use crate::exec::{absorb, execute, Continuation, StructAction};
 use crate::graph::Program;
 use crate::matching::{MatchingStore, Operands};
+use crate::place::{place, MappingPolicy};
 use crate::sched::{CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
-
-/// Stafford's mix13 finalizer — the same mixer the timed machine uses to
-/// spread activity names over PEs. Deterministic across runs/platforms.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// The worker whose waiting–matching shard owns `tag`.
-///
-/// Deliberately *not* the hash [`crate::matching`] uses for bucket
-/// placement: this one mixes a lossy 48-bit packing, the store folds the
-/// full 128-bit name through fibonacci multiplies. If they agreed, all
-/// keys owned by one shard would collide into one probe chain of that
-/// shard's table (`matching::tests::shard_resident_keys_spread_over_buckets`
-/// guards the independence).
-pub(crate) fn worker_of(tag: ActivityName, workers: usize) -> usize {
-    let packed =
-        (tag.u.0 as u64) << 48 | (tag.c.0 as u64) << 36 | (tag.s.0 as u64) << 16 | tag.i.0 as u64;
-    (mix(packed) % workers as u64) as usize
-}
 
 /// A structure operation routed to the shard that owns the structure.
 pub(crate) struct StructOp {
@@ -390,7 +369,7 @@ fn drive(
         // to absorb join the wave as thieves.
         let mut parts: Vec<Vec<(u32, Token)>> = (0..threads).map(|_| Vec::new()).collect();
         for (i, t) in wave.into_iter().enumerate() {
-            parts[worker_of(t.tag, threads)].push((i as u32, t));
+            parts[place(MappingPolicy::Spread, t.tag, threads)].push((i as u32, t));
         }
         for (w, part) in parts.into_iter().enumerate() {
             d.job_txs[w].send(Job::Wave(part)).expect(DEAD);

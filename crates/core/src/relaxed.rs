@@ -27,19 +27,60 @@
 //! (sums of per-shard observations). The PR's fuzz oracle and property
 //! suite check exactly this contract against the sequential engine.
 //!
-//! # Quiescence and errors
+//! # Placement and the bounded backlog
 //!
-//! Every token and every structure operation increments a shared
-//! in-flight counter *before* it becomes visible (local queue, batch
-//! buffer or channel) and decrements it *after* it is fully processed —
-//! so the counter can only read zero when no work exists anywhere, and
-//! zero is stable (new work is only created while processing old work).
-//! Workers flush their batch buffers before blocking, poll the counter,
-//! and exit when it reaches zero. The first error (in real time, not
-//! program order — this is the relaxation) lands in a shared slot and
-//! poisons the run; fuel is a shared firing counter checked on every
-//! firing, so `OutOfFuel` still means "the program needed more than
-//! `fuel` firings", the same condition the ordered backends enforce.
+//! Activities are placed by context ([`MappingPolicy::ByContext`]): a
+//! whole loop activation or procedure call lives on one worker, so only
+//! call/return and loop entry/exit cross threads. Placing by context
+//! alone lets the worker that owns a long loop run its iteration chain
+//! to the end before it reads a single result returned to it — the
+//! matching store then holds every iteration's half-matched join.
+//! Every [`DRAIN_EVERY`] firings a worker therefore flushes its outbound
+//! batches and drains its inbox without blocking, which bounds that
+//! backlog by the drain interval instead of the loop's trip count.
+//!
+//! # Quiescence
+//!
+//! One shared counter, `in_flight`, detects termination. It counts
+//!
+//! - every token or structure op in transit between workers (in a
+//!   flushed batch, from the flushing `fetch_add` until the receiver
+//!   takes the message), and
+//! - one **hold** per worker that has local work: a non-empty local
+//!   queue, unflushed outbound batches, or a message being handled.
+//!
+//! Tokens a worker routes to itself never touch it. The invariants:
+//!
+//! 1. A worker takes its hold in the same atomic step that stops
+//!    counting the received items as in transit (`fetch_sub(k - 1)`), so
+//!    taking work off a channel never lets the counter dip.
+//! 2. Outbound batches are charged (`fetch_add`) before they are sent
+//!    and are only ever filled while the sender holds, so charging them
+//!    cannot race the counter to zero either.
+//! 3. A worker releases its hold only with an empty local queue, empty
+//!    outbound batches and an empty inbox.
+//!
+//! Hence `in_flight == 0` means no worker holds and nothing is in
+//! transit: no work exists anywhere. Zero is also stable, because new
+//! work only comes from processing old work. Only a hold release can
+//! take the counter to zero, so exactly one worker sees it happen.
+//!
+//! # Wake protocol and errors
+//!
+//! An idle worker blocks in `recv()`; it has no timer. It wakes for
+//! work, or for `Stop`, which two workers send to every peer: the one
+//! whose hold release took `in_flight` to zero, and the one that
+//! poisons the run. The first error (in real time, not program order —
+//! this is the relaxation) lands in a shared slot and poisons the run;
+//! busy workers notice the poison at their next drain.
+//!
+//! Fuel is counted per worker and published to a shared total at every
+//! drain. A worker fails with `OutOfFuel` as soon as the last total it
+//! saw plus its own unpublished firings exceeds the budget, which is
+//! never early; after the run, the exact sum of all workers' firings is
+//! checked against the budget once more. So `OutOfFuel` still means
+//! "the program needed more than `fuel` firings", the same condition
+//! the ordered backends enforce.
 //!
 //! # Causality of structure traffic
 //!
@@ -54,9 +95,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use ttda_mem::{shard_of, IStructureShard};
 use ttda_sim::Cycle;
@@ -67,7 +107,8 @@ use crate::emu::EmuResult;
 use crate::exec::{absorb, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
-use crate::par::{apply_one, worker_of, StructOp};
+use crate::par::{apply_one, StructOp};
+use crate::place::{place, MappingPolicy};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
@@ -79,19 +120,25 @@ use crate::ExecError;
 /// does not promise.
 const STRUCT_LEASE: u32 = 64;
 
-/// How long a drained worker sleeps in `recv_timeout` between
-/// quiescence polls. Wake-ups are driven by message arrival; this only
-/// bounds the latency of noticing global quiescence or poison.
-const IDLE_POLL: Duration = Duration::from_micros(200);
+/// Firings between two backlog drains (see the module docs). Also the
+/// batch size in which a worker publishes its firings to the shared
+/// fuel meter.
+const DRAIN_EVERY: u64 = 1024;
+
+/// The one placement this backend uses.
+fn owner(tag: ActivityName, threads: usize) -> usize {
+    place(MappingPolicy::ByContext, tag, threads)
+}
 
 /// A message between workers: a batch of structure ops for the
-/// receiver's I-structure shard, or a batch of tokens for the
-/// receiver's matching shard. Ops and tokens are separate variants
-/// because the flush order between them carries the causality argument
-/// (see the module docs).
+/// receiver's I-structure shard, a batch of tokens for the receiver's
+/// matching shard, or the order to exit. Ops and tokens are separate
+/// variants because the flush order between them carries the causality
+/// argument (see the module docs).
 enum Msg {
     Ops(Vec<ShardOp>),
     Tokens(Vec<Token>),
+    Stop,
 }
 
 /// One unit of structure-shard work: register a freshly allocated id,
@@ -105,10 +152,10 @@ enum ShardOp {
 struct Shared<'a> {
     program: &'a Program,
     ctxs: &'a SharedContexts,
-    /// Tokens + ops produced but not yet fully processed, anywhere.
+    /// Items in transit between workers plus one hold per worker with
+    /// local work; zero exactly at quiescence (see the module docs).
     in_flight: AtomicUsize,
-    /// Successful firings so far — the fuel meter and the final
-    /// `instructions` count.
+    /// Firings published so far — the shared fuel meter.
     fired: AtomicU64,
     fuel: u64,
     /// Source of leased structure-id blocks.
@@ -138,6 +185,8 @@ impl Shared<'_> {
 /// What one worker hands back when it exits.
 struct WorkerOut {
     outputs: HashMap<u32, Value>,
+    /// Successful firings on this worker.
+    fired: u64,
     alu_ops: u64,
     /// Peak occupancy of this worker's matching shard.
     peak_matching: usize,
@@ -191,7 +240,7 @@ pub(crate) fn submit(
                 Port(0),
                 *v,
             );
-            seeds[worker_of(t.tag, threads)].push(t);
+            seeds[owner(t.tag, threads)].push(t);
             nseeds += 1;
         }
     }
@@ -205,6 +254,7 @@ pub(crate) fn submit(
     let shared = Shared {
         program,
         ctxs: &ctxs,
+        // The seeds are the first items in transit.
         in_flight: AtomicUsize::new(nseeds),
         fired: AtomicU64::new(0),
         fuel,
@@ -232,6 +282,12 @@ pub(crate) fn submit(
                 txs[w].send(Msg::Tokens(seed)).expect("worker died at seed");
             }
         }
+        if nseeds == 0 {
+            // Nothing to run: the workers are quiescent from the start.
+            for tx in &txs {
+                tx.send(Msg::Stop).expect("worker died at seed");
+            }
+        }
         drop(txs);
         handles
             .into_iter()
@@ -241,6 +297,10 @@ pub(crate) fn submit(
 
     if let Some(e) = shared.first_err.into_inner().expect("error slot poisoned") {
         return Err(e);
+    }
+    let instructions = outs.iter().map(|o| o.fired).sum::<u64>();
+    if instructions > fuel {
+        return Err(ExecError::OutOfFuel);
     }
     let stranded = outs
         .iter()
@@ -253,7 +313,7 @@ pub(crate) fn submit(
     let mut outputs = HashMap::new();
     let mut result = EmuResult {
         outputs: HashMap::new(),
-        instructions: shared.fired.load(Ordering::SeqCst),
+        instructions,
         alu_ops: 0,
         waves: 0,
         profile: Vec::new(),
@@ -288,6 +348,7 @@ pub(crate) fn submit(
 struct Worker<'a, 'p> {
     shared: &'a Shared<'p>,
     me: usize,
+    rx: Receiver<Msg>,
     waiting: MatchingStore,
     shard: IStructureShard<Value, (ActivityName, Port)>,
     wctx: WorkerCtx<'a>,
@@ -304,17 +365,26 @@ struct Worker<'a, 'p> {
     obufs: Vec<Vec<ShardOp>>,
     tbufs: Vec<Vec<Token>>,
     peers: Vec<Sender<Msg>>,
+    /// Whether this worker's hold is counted in `in_flight`.
+    holding: bool,
+    /// Firings since the last drain, not yet in `shared.fired`.
+    unpublished: u64,
+    /// `shared.fired` as of this worker's last publication.
+    fired_seen: u64,
+    /// Set when this worker failed or saw the run poisoned.
+    halted: bool,
     out: WorkerOut,
 }
 
 /// One relaxed worker: absorb and fire tokens from the local queue,
-/// batch outbound traffic, flush before blocking, exit on global
-/// quiescence or poison.
+/// batch outbound traffic, drain the inbox every [`DRAIN_EVERY`]
+/// firings, block when idle, exit on `Stop`, quiescence or poison.
 fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<Msg>>) -> WorkerOut {
     let threads = shared.threads;
     let mut w = Worker {
         shared,
         me,
+        rx,
         waiting: MatchingStore::new(),
         shard: IStructureShard::new(),
         wctx: shared.ctxs.handle(),
@@ -324,8 +394,13 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),
         peers,
+        holding: false,
+        unpublished: 0,
+        fired_seen: 0,
+        halted: false,
         out: WorkerOut {
             outputs: HashMap::new(),
+            fired: 0,
             alu_ops: 0,
             peak_matching: 0,
             stranded: 0,
@@ -337,44 +412,92 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
             traces: EventBuffer::new(),
         },
     };
-    loop {
-        while let Some(t) = w.local.pop() {
-            w.process_token(t);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if shared.poison.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        w.flush();
-        if shared.poison.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.try_recv() {
-            Ok(msg) => {
-                w.handle(msg);
-                continue;
-            }
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        if shared.in_flight.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        match rx.recv_timeout(IDLE_POLL) {
-            Ok(msg) => w.handle(msg),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
+    w.run();
+    w.out.fired += w.unpublished;
     w.out.stranded = w.waiting.len();
     w.out.deferred_outstanding = w.shard.deferred_outstanding();
     w.out
 }
 
 impl Worker<'_, '_> {
+    fn run(&mut self) {
+        loop {
+            while !self.halted {
+                let Some(t) = self.local.pop() else { break };
+                self.process_token(t);
+                if self.unpublished >= DRAIN_EVERY {
+                    self.drain();
+                }
+            }
+            if self.halted {
+                break;
+            }
+            self.flush();
+            let msg = match self.rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Empty) => {
+                    if self.release_hold() {
+                        break;
+                    }
+                    self.rx.recv().unwrap_or(Msg::Stop)
+                }
+                Err(TryRecvError::Disconnected) => Msg::Stop,
+            };
+            if !self.handle(msg) {
+                return;
+            }
+        }
+        // Quiescence reached here, or the run is poisoned: either way,
+        // nobody else will send the peers anything but `Stop`.
+        for (w, peer) in self.peers.iter().enumerate() {
+            if w != self.me {
+                let _ = peer.send(Msg::Stop);
+            }
+        }
+    }
+
     fn trace(&mut self, ev: TraceEvent) {
         if self.shared.traced {
             self.out.traces.push(Cycle::ZERO, ev);
+        }
+    }
+
+    fn fail(&mut self, e: ExecError) {
+        self.shared.fail(e);
+        self.halted = true;
+    }
+
+    /// Drops this worker's hold, if it has one. True when that took
+    /// `in_flight` to zero: the run is quiescent.
+    fn release_hold(&mut self) -> bool {
+        if !self.holding {
+            return false;
+        }
+        self.holding = false;
+        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
+    }
+
+    /// The bounded-backlog step: publish firings to the fuel meter,
+    /// flush outbound batches, check for poison, then take everything
+    /// already waiting in the inbox without blocking.
+    fn drain(&mut self) {
+        let n = std::mem::take(&mut self.unpublished);
+        self.out.fired += n;
+        self.fired_seen = self.shared.fired.fetch_add(n, Ordering::SeqCst) + n;
+        if self.fired_seen > self.shared.fuel {
+            self.fail(ExecError::OutOfFuel);
+            return;
+        }
+        self.flush();
+        if self.shared.poison.load(Ordering::SeqCst) {
+            self.halted = true;
+            return;
+        }
+        while let Ok(msg) = self.rx.try_recv() {
+            if !self.handle(msg) {
+                self.halted = true;
+                return;
+            }
         }
     }
 
@@ -385,12 +508,11 @@ impl Worker<'_, '_> {
         self.shared.crit.as_ref().map_or(0, |c| c.criticality(tag))
     }
 
-    /// Routes a freshly produced token to its matching shard's owner,
-    /// charging it to the in-flight counter first.
+    /// Routes a freshly produced token to its matching shard's owner:
+    /// onto the local queue, or into that peer's outbound batch.
     fn route(&mut self, t: Token) {
         self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let w = worker_of(t.tag, self.shared.threads);
+        let w = owner(t.tag, self.shared.threads);
         if w == self.me {
             self.local.push(self.prio(t.tag), t);
         } else {
@@ -414,7 +536,6 @@ impl Worker<'_, '_> {
         if owner == self.me {
             self.apply_op(op);
         } else {
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             self.obufs[owner].push(ShardOp::Op(op));
         }
     }
@@ -425,7 +546,6 @@ impl Worker<'_, '_> {
         if owner == self.me {
             self.shard.create(id, len);
         } else {
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             self.obufs[owner].push(ShardOp::Create { id, len });
         }
     }
@@ -455,7 +575,7 @@ impl Worker<'_, '_> {
                     .peak_deferred
                     .max(self.shard.deferred_outstanding());
             }
-            Err((_, e)) => self.shared.fail(e),
+            Err((_, e)) => self.fail(e),
         }
     }
 
@@ -481,7 +601,7 @@ impl Worker<'_, '_> {
         let enabled = match absorb(self.shared.program, &mut self.waiting, token) {
             Ok(enabled) => enabled,
             Err(e) => {
-                self.shared.fail(e);
+                self.fail(e);
                 return;
             }
         };
@@ -503,13 +623,13 @@ impl Worker<'_, '_> {
         let mut eff = match execute(self.shared.program, &mut self.wctx, tag, instr, &operands) {
             Ok(eff) => eff,
             Err(e) => {
-                self.shared.fail(e);
+                self.fail(e);
                 return;
             }
         };
-        let fired = self.shared.fired.fetch_add(1, Ordering::SeqCst) + 1;
-        if fired > self.shared.fuel {
-            self.shared.fail(ExecError::OutOfFuel);
+        self.unpublished += 1;
+        if self.fired_seen + self.unpublished > self.shared.fuel {
+            self.fail(ExecError::OutOfFuel);
             return;
         }
         if eff.is_alu {
@@ -572,8 +692,15 @@ impl Worker<'_, '_> {
     }
 
     /// Flushes outbound batches: ops to every peer first, then tokens —
-    /// the order the causality argument rests on.
+    /// the order the causality argument rests on. The whole flush is
+    /// charged to `in_flight` in one step before the first send.
     fn flush(&mut self) {
+        let n = self.obufs.iter().map(Vec::len).sum::<usize>()
+            + self.tbufs.iter().map(Vec::len).sum::<usize>();
+        if n == 0 {
+            return;
+        }
+        self.shared.in_flight.fetch_add(n, Ordering::SeqCst);
         for w in 0..self.shared.threads {
             if !self.obufs[w].is_empty() {
                 // A failed send means the peer exited on poison; the
@@ -588,22 +715,36 @@ impl Worker<'_, '_> {
         }
     }
 
-    fn handle(&mut self, msg: Msg) {
+    /// Takes one message off the inbox. Returns false on `Stop`.
+    fn handle(&mut self, msg: Msg) -> bool {
         match msg {
             Msg::Ops(ops) => {
+                self.take_hold(ops.len());
                 for op in ops {
                     match op {
                         ShardOp::Create { id, len } => self.shard.create(id, len),
                         ShardOp::Op(op) => self.apply_op(op),
                     }
-                    self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
             }
             Msg::Tokens(ts) => {
+                self.take_hold(ts.len());
                 for t in ts {
                     self.local.push(self.prio(t.tag), t);
                 }
             }
+            Msg::Stop => return false,
+        }
+        true
+    }
+
+    /// Stops counting `k` received items as in transit, taking this
+    /// worker's hold in the same atomic step (invariant 1).
+    fn take_hold(&mut self, k: usize) {
+        let settle = if self.holding { k } else { k - 1 };
+        self.holding = true;
+        if settle > 0 {
+            self.shared.in_flight.fetch_sub(settle, Ordering::SeqCst);
         }
     }
 }

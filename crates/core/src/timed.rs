@@ -26,26 +26,11 @@ use crate::context::ContextManager;
 use crate::exec::{absorb, execute, Continuation, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
+use crate::place::{place, MappingPolicy};
 use crate::sched::{env_sched, BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{StructRef, Value};
 use crate::ExecError;
-
-/// How the output section's mapping function assigns activities to PEs
-/// ("the activity name plus some mapping information uniquely define the
-/// runtime tag and processing element number").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MappingPolicy {
-    /// Hash `(u, i)`: one iteration of one activation stays on a PE,
-    /// different iterations spread. The default — it exposes loop
-    /// parallelism while keeping intra-iteration traffic local.
-    ByIteration,
-    /// Hash `u` only: a whole activation stays on one PE (procedure-level
-    /// parallelism only).
-    ByContext,
-    /// Hash the full `(u, c, s, i)`: maximal spreading, maximal traffic.
-    Spread,
-}
 
 /// Where an I-structure's elements live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,21 +319,9 @@ impl<T: Topology> TimedMachine<T> {
         &self.program
     }
 
+    /// The output section's mapping function.
     fn pe_of(&self, tag: ActivityName) -> usize {
-        fn mix(mut x: u64) -> u64 {
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-            x ^ (x >> 31)
-        }
-        let h = match self.config.mapping {
-            MappingPolicy::ByIteration => mix((tag.u.0 as u64) << 32 | tag.i.0 as u64),
-            MappingPolicy::ByContext => mix(tag.u.0 as u64),
-            MappingPolicy::Spread => mix((tag.u.0 as u64) << 48
-                | (tag.c.0 as u64) << 36
-                | (tag.s.0 as u64) << 16
-                | tag.i.0 as u64),
-        };
-        (h % self.pes() as u64) as usize
+        place(self.config.mapping, tag, self.pes())
     }
 
     fn module_of(&self, ptr: StructRef, idx: usize) -> usize {

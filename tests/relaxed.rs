@@ -214,3 +214,91 @@ fn relaxed_traces_conserve_tokens() {
     assert_eq!(c.deferred_outstanding(), 0);
     assert!(c.quiescent());
 }
+
+/// The fuel contract is exact at every width: a budget of exactly the
+/// sequential firing count succeeds, one less runs out. Relaxed workers
+/// publish their firings in batches, so this pins down that batching
+/// never lets a run finish over budget nor fail within it.
+#[test]
+fn relaxed_fuel_boundary_is_exact() {
+    let cases: [(&str, &str, Vec<Value>); 3] = [
+        ("fib", ttda::workloads::id::fib(), vec![Value::Int(12)]),
+        (
+            "trapezoid",
+            ttda::workloads::id::trapezoid(),
+            vec![Value::Float(0.0), Value::Float(1.0), Value::Int(300)],
+        ),
+        ("matmul", ttda::workloads::id::matmul(), vec![Value::Int(5)]),
+    ];
+    for (name, src, inputs) in &cases {
+        let p = ttda::idc::compile(src).expect("workload compiles");
+        let seq = Emulator::new(&p)
+            .with_mode(RunMode::Sequential)
+            .run(inputs)
+            .unwrap_or_else(|e| panic!("{name}: sequential run failed: {e}"));
+        let need = seq.instructions;
+        for threads in [1usize, 2, 4] {
+            let relaxed = |fuel: u64| {
+                Emulator::new(&p)
+                    .with_threads(threads)
+                    .relaxed()
+                    .with_fuel(fuel)
+                    .run(inputs)
+            };
+            let ok = relaxed(need)
+                .unwrap_or_else(|e| panic!("{name} threads={threads}: fuel={need} failed: {e}"));
+            assert_eq!(ok.outputs, seq.outputs, "{name} threads={threads}");
+            assert_eq!(ok.instructions, need, "{name} threads={threads}");
+            assert_eq!(
+                relaxed(need - 1),
+                Err(ExecError::OutOfFuel),
+                "{name} threads={threads}: fuel={}",
+                need - 1
+            );
+        }
+    }
+}
+
+/// Placing by context puts the whole `trapezoid` loop on one worker,
+/// while the `f(x)` calls it spawns land on both. Without the periodic
+/// inbox drain that worker runs its `x` chain to the end before it reads
+/// a single returned `f(x)`, parking about `2n` half-matched joins. The
+/// drain bounds that backlog; scheduling noise can still inflate one
+/// run, hence the best of five.
+#[test]
+fn relaxed_backlog_stays_bounded_on_a_long_loop() {
+    let n = 2750i64;
+    let p = ttda::idc::compile(ttda::workloads::id::trapezoid()).expect("trapezoid compiles");
+    let inputs = [Value::Float(0.0), Value::Float(1.0), Value::Int(n)];
+    let peak = (0..5)
+        .map(|_| {
+            Emulator::new(&p)
+                .with_threads(2)
+                .relaxed()
+                .run(&inputs)
+                .expect("relaxed trapezoid")
+                .peak_matching
+        })
+        .min()
+        .expect("five runs");
+    assert!(
+        (peak as i64) < n / 2,
+        "best-of-5 peak_matching {peak} on trapezoid n={n}"
+    );
+}
+
+/// A submission with no jobs has no seed tokens, so no worker ever sees
+/// work or a hold to release: the run must still end, empty.
+#[test]
+fn relaxed_submit_with_no_jobs_ends_at_once() {
+    use ttda::core::Machine;
+    let p = ttda::idc::compile(ttda::workloads::id::fib()).unwrap();
+    let seq = Machine::submit(&mut Emulator::new(&p).with_mode(RunMode::Sequential), &[]);
+    for threads in [1usize, 2, 4] {
+        let rel = Machine::submit(&mut Emulator::new(&p).with_threads(threads).relaxed(), &[])
+            .expect("empty relaxed submission");
+        assert!(rel.outputs.is_empty(), "threads={threads}");
+        assert_eq!(rel.instructions, 0, "threads={threads}");
+    }
+    assert!(seq.expect("empty sequential submission").outputs.is_empty());
+}
