@@ -16,8 +16,8 @@ use ttda_sim::Cycle;
 use ttda_trace::{PresenceState, SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{execute, StructAction};
-use crate::graph::{Instruction, Program};
+use crate::exec::{continuation, execute, StructAction};
+use crate::graph::Program;
 use crate::matching::{MatchingStore, Operands};
 use crate::sched::{env_sched, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
@@ -174,6 +174,10 @@ pub struct Emulator<'p> {
     istore_immediate: u64,
     istore_deferred: u64,
     istore_writes: u64,
+    /// The firing path's token buffer: [`execute`] pushes each firing's
+    /// `d=0` tokens here and [`Emulator::fire`] drains them into the next
+    /// wave, so one buffer serves the whole run.
+    emitted: Vec<Token>,
     sink: Option<SharedSink>,
     /// Trace timestamp: the current wave index (idealized time).
     now: Cycle,
@@ -213,6 +217,7 @@ impl<'p> Emulator<'p> {
             istore_immediate: 0,
             istore_deferred: 0,
             istore_writes: 0,
+            emitted: Vec::new(),
             sink: None,
             now: Cycle::ZERO,
         }
@@ -399,9 +404,12 @@ impl<'p> Emulator<'p> {
         let mut wave = Wave::new();
         for job in jobs {
             let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self.program.block(*block_id).ok_or(ExecError::BadTarget {
-                activity: block_id.to_string(),
-            })?;
+            let block = self
+                .program
+                .block(*block_id)
+                .ok_or_else(|| ExecError::BadTarget {
+                    activity: block_id.to_string(),
+                })?;
             if inputs.len() != block.params.len() {
                 return Err(ExecError::InputArity {
                     expected: block.params.len(),
@@ -426,6 +434,9 @@ impl<'p> Emulator<'p> {
 
         let mut profile = Vec::new();
         let mut held: Vec<Token> = Vec::new();
+        // The wave being fired and the one it produces: two buffers,
+        // swapped after every wave instead of allocated per wave.
+        let mut next = Wave::new();
         let mut peak_deferred = 0usize;
 
         while !wave.is_empty() || !held.is_empty() {
@@ -494,7 +505,6 @@ impl<'p> Emulator<'p> {
                 wave.sort_by_criticality(crit);
             }
 
-            let mut next = Wave::new();
             let mut fired = 0usize;
             for i in 0..wave.len() {
                 if let Some(operands) = self.absorb(wave.token(i))? {
@@ -514,7 +524,8 @@ impl<'p> Emulator<'p> {
                 });
                 self.now = self.now.saturating_add(Cycle(1));
             }
-            wave = next;
+            std::mem::swap(&mut wave, &mut next);
+            next.clear();
         }
 
         let stranded = self.waiting.len() + self.stranded_readers();
@@ -554,15 +565,6 @@ impl<'p> Emulator<'p> {
             .sum()
     }
 
-    fn lookup(&self, tag: ActivityName) -> Result<&Instruction, ExecError> {
-        self.program
-            .block(tag.c)
-            .and_then(|b| b.instr(tag.s))
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: tag.to_string(),
-            })
-    }
-
     /// The waiting–matching section: inserts a token; returns the full
     /// operand set when the instruction becomes enabled.
     fn absorb(&mut self, token: Token) -> Result<Option<(ActivityName, Operands)>, ExecError> {
@@ -584,9 +586,17 @@ impl<'p> Emulator<'p> {
     /// enabled instruction via the shared semantics in [`crate::exec`],
     /// applying I-structure actions inline.
     fn fire(&mut self, tag: ActivityName, ops: Operands, out: &mut Wave) -> Result<(), ExecError> {
-        let instr = self.lookup(tag)?.clone();
+        // Borrowed from the program, not from `self`, so the firing can
+        // update the emulator's state while it reads the instruction.
+        let program: &'p Program = self.program;
+        let instr = program
+            .block(tag.c)
+            .and_then(|b| b.instr(tag.s))
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: tag.to_string(),
+            })?;
         self.instructions += 1;
-        let eff = execute(self.program, &mut self.ctx, tag, &instr, &ops)?;
+        let eff = execute(program, &mut self.ctx, tag, instr, &ops, &mut self.emitted)?;
         if eff.is_alu {
             self.alu_ops += 1;
         }
@@ -606,29 +616,29 @@ impl<'p> Emulator<'p> {
             alu: eff.is_alu,
             busy: 0,
         });
-        out.extend_tokens(eff.tokens);
+        out.extend_tokens(self.emitted.drain(..));
         if let Some((slot, v)) = eff.output {
             self.outputs.insert(slot, v);
         }
         match eff.action {
             None => {}
-            Some(StructAction::Alloc { len, dests }) => {
+            Some(StructAction::Alloc { len }) => {
                 let id = self.structures.len() as u32;
                 self.structures.push(IStructure::new(len));
                 let p = Value::Ptr(StructRef {
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(tag, &instr.dests) {
                     out.push(rtag, port, p);
                 }
             }
-            Some(StructAction::Fetch { ptr, idx, dests }) => {
+            Some(StructAction::Fetch { ptr, idx }) => {
                 let mut immediate = 0u64;
                 let mut deferred = 0u64;
                 let traced = sink.is_some();
                 let store = self.store_mut(tag, ptr)?;
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(tag, &instr.dests) {
                     let before = if traced {
                         store.presence(Addr(idx))?
                     } else {
@@ -668,12 +678,7 @@ impl<'p> Emulator<'p> {
                 self.istore_immediate += immediate;
                 self.istore_deferred += deferred;
             }
-            Some(StructAction::Store {
-                ptr,
-                idx,
-                value,
-                dests,
-            }) => {
+            Some(StructAction::Store { ptr, idx, value }) => {
                 let traced = sink.is_some();
                 let store = self.store_mut(tag, ptr)?;
                 let before = if traced {
@@ -701,7 +706,7 @@ impl<'p> Emulator<'p> {
                         });
                     }
                 }
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(tag, &instr.dests) {
                     out.push(rtag, port, Value::Unit);
                 }
             }
@@ -721,7 +726,7 @@ impl<'p> Emulator<'p> {
     ) -> Result<&mut IStructure<Value, (ActivityName, Port)>, ExecError> {
         self.structures
             .get_mut(ptr.id as usize)
-            .ok_or(ExecError::BadTarget {
+            .ok_or_else(|| ExecError::BadTarget {
                 activity: format!("{tag} (dangling {ptr:?})"),
             })
     }

@@ -2,8 +2,9 @@
 //!
 //! [`execute`] implements the instruction-fetch + ALU + output-section
 //! behaviour of one enabled instruction, *independent of timing*: it
-//! returns the tokens to emit and any I-structure action to perform. The
-//! [`Emulator`](crate::Emulator) applies structure actions inline; the
+//! pushes the tokens to emit onto a caller-owned buffer and returns any
+//! I-structure action to perform. The [`Emulator`](crate::Emulator)
+//! applies structure actions inline; the
 //! [`TimedMachine`](crate::TimedMachine) turns them into `d=1` packets
 //! that travel the network to I-structure storage. Keeping one copy of
 //! the semantics guarantees the two engines can never disagree on *what*
@@ -16,31 +17,29 @@ use crate::tag::{ActivityName, Iter, Port, Token};
 use crate::value::{as_bool, as_int, as_ptr, StructRef, Value};
 use crate::ExecError;
 
-/// A pending reader / destination continuation: fully tagged token slots
-/// awaiting a value.
-pub(crate) type Continuation = Vec<(ActivityName, Port)>;
-
-/// An I-structure operation requested by an instruction.
-#[derive(Debug, Clone)]
+/// An I-structure operation requested by an instruction. Its
+/// continuation — who receives the pointer, the element or the store's
+/// completion signal — is the issuing instruction's unconditional
+/// destinations retagged by the issuing firing (see [`continuation`]),
+/// so the action itself carries no heap data and every engine expands
+/// the destinations where it applies the action.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum StructAction {
-    /// Allocate `len` cells; send the pointer to `dests`.
+    /// Allocate `len` cells; send the pointer to the continuation.
     Alloc {
         /// Element count.
         len: usize,
-        /// Who receives the pointer.
-        dests: Continuation,
     },
-    /// Fetch element `idx` of `ptr`; deliver to `dests` (possibly
-    /// deferred).
+    /// Fetch element `idx` of `ptr`; deliver it to the continuation
+    /// (possibly deferred).
     Fetch {
         /// The structure.
         ptr: StructRef,
         /// Element index.
         idx: usize,
-        /// Who receives the element.
-        dests: Continuation,
     },
-    /// Store `value` at element `idx` of `ptr`; then signal `dests`.
+    /// Store `value` at element `idx` of `ptr`; then signal the
+    /// continuation.
     Store {
         /// The structure.
         ptr: StructRef,
@@ -48,16 +47,13 @@ pub(crate) enum StructAction {
         idx: usize,
         /// The element value.
         value: Value,
-        /// Who receives the unit completion signal.
-        dests: Continuation,
     },
 }
 
-/// Everything one firing produces.
-#[derive(Debug, Clone, Default)]
+/// Everything one firing produces besides its `d=0` tokens, which
+/// [`execute`] pushes into the caller's buffer.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Effect {
-    /// Ordinary (`d=0`) output tokens, fully tagged.
-    pub tokens: Vec<Token>,
     /// At most one structure (`d=1`) action.
     pub action: Option<StructAction>,
     /// A program output, if the instruction was `Output`.
@@ -101,12 +97,27 @@ fn retag_branch(
     }
 }
 
-fn continuation(tag: ActivityName, dests: &[Dest]) -> Continuation {
+/// The continuation of a structure action issued by the firing `tag` of
+/// an instruction with destinations `dests`: the fully tagged token
+/// slots awaiting the pointer, element or completion signal.
+pub(crate) fn continuation(
+    tag: ActivityName,
+    dests: &[Dest],
+) -> impl Iterator<Item = (ActivityName, Port)> + '_ {
     dests
         .iter()
         .filter(|d| d.when == DestBranch::Always)
-        .map(|d| (ActivityName { s: d.instr, ..tag }, d.port))
-        .collect()
+        .map(move |d| (ActivityName { s: d.instr, ..tag }, d.port))
+}
+
+/// The destinations of the instruction `tag` names. Only called for
+/// firings that [`absorb`] already resolved, so the lookup cannot fail.
+pub(crate) fn dests_of(program: &Program, tag: ActivityName) -> &[Dest] {
+    &program
+        .block(tag.c)
+        .and_then(|b| b.instr(tag.s))
+        .expect("absorb resolved the instruction")
+        .dests
 }
 
 fn nonneg_index(tag: ActivityName, idx: i64) -> Result<usize, ExecError> {
@@ -152,6 +163,10 @@ pub(crate) fn absorb(
 
 /// Executes one enabled instruction. See the module docs.
 ///
+/// The firing's `d=0` tokens are pushed onto `out`, a buffer the caller
+/// owns and reuses across firings, so a firing allocates nothing in the
+/// steady state (DESIGN.md §16).
+///
 /// Only `D` and `Apply` *mutate* the context table (entering a loop or
 /// a call); everything else at most reads it, via [`execute_ro`]. On
 /// the parallel backends workers execute the mutating opcodes too,
@@ -166,11 +181,8 @@ pub(crate) fn execute<C: ContextOps>(
     tag: ActivityName,
     instr: &Instruction,
     ops: &[Value],
+    out: &mut Vec<Token>,
 ) -> Result<Effect, ExecError> {
-    let mut eff = Effect {
-        is_alu: instr.op.is_alu_work(),
-        ..Effect::default()
-    };
     match &instr.op {
         OpCode::D { loop_id } => {
             let inner = ctx.enter_loop(tag.u, tag.i, *loop_id, tag.c);
@@ -179,15 +191,15 @@ pub(crate) fn execute<C: ContextOps>(
                 i: Iter::ONE,
                 ..tag
             };
-            retag(ntag, &instr.dests, ops[0], &mut eff.tokens);
+            retag(ntag, &instr.dests, ops[0], out);
         }
         OpCode::Apply { callee, argc } => {
-            let cb = program.block(*callee).ok_or(ExecError::BadTarget {
+            let cb = program.block(*callee).ok_or_else(|| ExecError::BadTarget {
                 activity: tag.to_string(),
             })?;
-            let new_ctx = ctx.enter_call(tag.u, tag.i, tag.c, *callee, instr.dests.clone());
+            let new_ctx = ctx.enter_call(tag.u, tag.i, tag.c, *callee, tag.s);
             for (k, &op) in ops.iter().enumerate().take(*argc as usize) {
-                eff.tokens.push(Token::new(
+                out.push(Token::new(
                     ActivityName {
                         u: new_ctx,
                         c: *callee,
@@ -199,9 +211,12 @@ pub(crate) fn execute<C: ContextOps>(
                 ));
             }
         }
-        _ => return execute_ro(ctx, tag, instr, ops),
+        _ => return execute_ro(program, ctx, tag, instr, ops, out),
     }
-    Ok(eff)
+    Ok(Effect {
+        is_alu: instr.op.is_alu_work(),
+        ..Effect::default()
+    })
 }
 
 /// Executes one enabled instruction that does *not* allocate a context;
@@ -210,41 +225,43 @@ pub(crate) fn execute<C: ContextOps>(
 /// strictly earlier firings, so worker threads run this concurrently
 /// against [`crate::context::SharedContexts`] without coordination.
 pub(crate) fn execute_ro<C: ContextOps>(
+    program: &Program,
     ctx: &C,
     tag: ActivityName,
     instr: &Instruction,
     ops: &[Value],
+    out: &mut Vec<Token>,
 ) -> Result<Effect, ExecError> {
     let mut eff = Effect {
         is_alu: instr.op.is_alu_work(),
         ..Effect::default()
     };
     match &instr.op {
-        OpCode::Identity => retag(tag, &instr.dests, ops[0], &mut eff.tokens),
-        OpCode::Const(v) => retag(tag, &instr.dests, *v, &mut eff.tokens),
+        OpCode::Identity => retag(tag, &instr.dests, ops[0], out),
+        OpCode::Const(v) => retag(tag, &instr.dests, *v, out),
         OpCode::Alu(op) => {
             let v = op.apply(&ops[0], &ops[1])?;
-            retag(tag, &instr.dests, v, &mut eff.tokens);
+            retag(tag, &instr.dests, v, out);
         }
         OpCode::Cmp(op) => {
             let v = op.apply(&ops[0], &ops[1])?;
-            retag(tag, &instr.dests, v, &mut eff.tokens);
+            retag(tag, &instr.dests, v, out);
         }
         OpCode::Not => {
             let v = Value::Bool(!as_bool(&ops[0])?);
-            retag(tag, &instr.dests, v, &mut eff.tokens);
+            retag(tag, &instr.dests, v, out);
         }
         OpCode::And => {
             let v = Value::Bool(as_bool(&ops[0])? && as_bool(&ops[1])?);
-            retag(tag, &instr.dests, v, &mut eff.tokens);
+            retag(tag, &instr.dests, v, out);
         }
         OpCode::Or => {
             let v = Value::Bool(as_bool(&ops[0])? || as_bool(&ops[1])?);
-            retag(tag, &instr.dests, v, &mut eff.tokens);
+            retag(tag, &instr.dests, v, out);
         }
         OpCode::Switch => {
             let take = as_bool(&ops[1])?;
-            retag_branch(tag, &instr.dests, take, ops[0], &mut eff.tokens);
+            retag_branch(tag, &instr.dests, take, ops[0], out);
         }
         OpCode::D { .. } | OpCode::Apply { .. } => {
             // Context-allocating opcodes are routed through [`execute`];
@@ -254,7 +271,7 @@ pub(crate) fn execute_ro<C: ContextOps>(
             });
         }
         OpCode::DInv => {
-            let rec = ctx.resolve(tag.u).ok_or(ExecError::BadTarget {
+            let rec = ctx.resolve(tag.u).ok_or_else(|| ExecError::BadTarget {
                 activity: tag.to_string(),
             })?;
             let ntag = ActivityName {
@@ -262,38 +279,46 @@ pub(crate) fn execute_ro<C: ContextOps>(
                 i: rec.parent_iter,
                 ..tag
             };
-            retag(ntag, &instr.dests, ops[0], &mut eff.tokens);
+            retag(ntag, &instr.dests, ops[0], out);
         }
         OpCode::L => {
             let ntag = ActivityName {
                 i: tag.i.next(),
                 ..tag
             };
-            retag(ntag, &instr.dests, ops[0], &mut eff.tokens);
+            retag(ntag, &instr.dests, ops[0], out);
         }
         OpCode::LInv => {
             let ntag = ActivityName {
                 i: Iter::ONE,
                 ..tag
             };
-            retag(ntag, &instr.dests, ops[0], &mut eff.tokens);
+            retag(ntag, &instr.dests, ops[0], out);
         }
         OpCode::Return => {
-            let rec = ctx.resolve(tag.u).ok_or(ExecError::BadTarget {
+            let rec = ctx.resolve(tag.u).ok_or_else(|| ExecError::BadTarget {
                 activity: tag.to_string(),
             })?;
-            let ContextKind::Call { ret_block, dests } = rec.kind else {
+            let ContextKind::Call { ret_block, site } = rec.kind else {
                 return Err(ExecError::BadTarget {
                     activity: format!("{tag} (Return outside a call context)"),
                 });
             };
+            // The result goes wherever the calling `Apply` sends its
+            // value: the call record names that instruction.
+            let apply = program
+                .block(ret_block)
+                .and_then(|b| b.instr(site))
+                .ok_or_else(|| ExecError::BadTarget {
+                    activity: tag.to_string(),
+                })?;
             let rtag = ActivityName {
                 u: rec.parent,
                 c: ret_block,
                 s: tag.s, // replaced per-dest
                 i: rec.parent_iter,
             };
-            retag(rtag, &dests, ops[0], &mut eff.tokens);
+            retag(rtag, &apply.dests, ops[0], out);
         }
         OpCode::IAlloc => {
             let len = as_int(&ops[0])?;
@@ -303,19 +328,12 @@ pub(crate) fn execute_ro<C: ContextOps>(
                     got: len.to_string(),
                 }));
             }
-            eff.action = Some(StructAction::Alloc {
-                len: len as usize,
-                dests: continuation(tag, &instr.dests),
-            });
+            eff.action = Some(StructAction::Alloc { len: len as usize });
         }
         OpCode::IFetch => {
             let ptr = as_ptr(&ops[0])?;
             let idx = nonneg_index(tag, as_int(&ops[1])?)?;
-            eff.action = Some(StructAction::Fetch {
-                ptr,
-                idx,
-                dests: continuation(tag, &instr.dests),
-            });
+            eff.action = Some(StructAction::Fetch { ptr, idx });
         }
         OpCode::IStore => {
             let ptr = as_ptr(&ops[0])?;
@@ -324,7 +342,6 @@ pub(crate) fn execute_ro<C: ContextOps>(
                 ptr,
                 idx,
                 value: ops[2],
-                dests: continuation(tag, &instr.dests),
             });
         }
         OpCode::Output(slot) => {

@@ -43,6 +43,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Error values on the firing path must be built only on failure: an eager
+// `ok_or(ExecError::BadTarget { activity: tag.to_string() })` allocates a
+// string on every *successful* firing.
+#![warn(clippy::or_fun_call)]
 
 mod builder;
 mod context;

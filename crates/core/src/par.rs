@@ -81,6 +81,7 @@
 //! would serialize the workers anyway.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
@@ -91,8 +92,8 @@ use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, execute, Continuation, StructAction};
-use crate::graph::Program;
+use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
+use crate::graph::{Dest, Program};
 use crate::matching::{MatchingStore, Operands};
 use crate::place::{place, MappingPolicy};
 use crate::sched::{CritMap, SchedPolicy};
@@ -130,11 +131,14 @@ enum Job {
 /// *not* here — they went straight to the owning shard's batch buffer.
 struct FireOut {
     is_alu: bool,
-    tokens: Vec<Token>,
+    /// The firing's `d=0` tokens: a range of its worker's flat wave
+    /// buffer ([`WaveReply::tokens`]).
+    tokens: Range<usize>,
     output: Option<(u32, Value)>,
-    /// An `IAlloc` request: the coordinator assigns the id (dense, in
-    /// firing order) and builds the pointer tokens.
-    alloc: Option<(usize, Continuation)>,
+    /// An `IAlloc` request — length and issuing firing: the coordinator
+    /// assigns the id (dense, in firing order) and builds the pointer
+    /// tokens from the firing's continuation.
+    alloc: Option<(usize, ActivityName)>,
 }
 
 /// An enabled firing awaiting execution (by its owner or by a thief).
@@ -149,6 +153,8 @@ struct WaveReply {
     deltas: Vec<(u32, isize)>,
     /// Executed firings (own and stolen), keyed by wave index.
     fires: Vec<(u32, FireOut)>,
+    /// Every `d=0` token those firings emitted, back to back.
+    tokens: Vec<Token>,
     err: Option<(u32, ExecError)>,
     /// Whether this worker buffered any structure ops this wave.
     has_ops: bool,
@@ -157,20 +163,32 @@ struct WaveReply {
 }
 
 /// Tokens and trace events produced by one structure operation.
-pub(crate) struct OpOut {
-    pub(crate) index: u32,
-    pub(crate) tokens: Vec<Token>,
-    pub(crate) traces: EventBuffer,
+struct OpOut {
+    index: u32,
+    /// A range of the shard's flat reply buffer ([`StructReply::tokens`]).
+    tokens: Range<usize>,
+    traces: EventBuffer,
+}
+
+/// Read and write counts of structure traffic.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IStoreCounts {
+    /// Reads satisfied at once.
+    pub(crate) immediate: u64,
+    /// Reads that waited for their producer.
+    pub(crate) deferred: u64,
+    /// Writes.
+    pub(crate) writes: u64,
 }
 
 struct StructReply {
     outs: Vec<OpOut>,
+    /// Every token those ops produced, back to back.
+    tokens: Vec<Token>,
     err: Option<(u32, ExecError)>,
     /// Deferred reads outstanding in this worker's shard after the ops.
     deferred_outstanding: usize,
-    immediate: u64,
-    deferred: u64,
-    writes: u64,
+    counts: IStoreCounts,
 }
 
 enum Reply {
@@ -235,9 +253,11 @@ pub(crate) fn submit(
     let mut wave: Vec<Token> = Vec::new();
     for job in jobs {
         let (block_id, inputs) = (&job.block, &job.inputs);
-        let block = program.block(*block_id).ok_or(ExecError::BadTarget {
-            activity: block_id.to_string(),
-        })?;
+        let block = program
+            .block(*block_id)
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: block_id.to_string(),
+            })?;
         if inputs.len() != block.params.len() {
             return Err(ExecError::InputArity {
                 expected: block.params.len(),
@@ -295,6 +315,7 @@ pub(crate) fn submit(
         // workers cannot deadlock the scope's implicit join.
         drop(ops_txs);
         let d = Driver {
+            program,
             ctxs: &ctxs,
             pool: &pool,
             fuel,
@@ -310,6 +331,7 @@ pub(crate) fn submit(
 
 /// Coordinator-side handles for one run.
 struct Driver<'a> {
+    program: &'a Program,
     ctxs: &'a SharedContexts,
     pool: &'a StealPool,
     fuel: u64,
@@ -343,9 +365,7 @@ fn drive(
     let mut waiting_total: usize = 0;
     let mut peak_deferred: usize = 0;
     let mut deferred_by_worker = vec![0usize; threads];
-    let mut istore_immediate: u64 = 0;
-    let mut istore_deferred: u64 = 0;
-    let mut istore_writes: u64 = 0;
+    let mut istore = IStoreCounts::default();
     let mut next_struct_id: u32 = 0;
     let mut now = Cycle::ZERO;
 
@@ -375,7 +395,9 @@ fn drive(
             d.job_txs[w].send(Job::Wave(part)).expect(DEAD);
         }
         let mut deltas: Vec<Option<isize>> = vec![None; wlen];
-        let mut fires: Vec<Option<FireOut>> = (0..wlen).map(|_| None).collect();
+        // Each firing with the worker whose token buffer holds its output.
+        let mut fires: Vec<Option<(usize, FireOut)>> = (0..wlen).map(|_| None).collect();
+        let mut fire_tokens: Vec<Vec<Token>> = Vec::with_capacity(threads);
         let mut first_err: Option<(u32, ExecError)> = None;
         let mut any_ops = false;
         let mut steal_log: Vec<(u32, u32, u64)> = Vec::new();
@@ -387,8 +409,9 @@ fn drive(
                 deltas[i as usize] = Some(delta);
             }
             for (i, f) in rep.fires {
-                fires[i as usize] = Some(f);
+                fires[i as usize] = Some((w, f));
             }
+            fire_tokens.push(rep.tokens);
             if let Some((i, e)) = rep.err {
                 if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
                     first_err = Some((i, e));
@@ -406,6 +429,7 @@ fn drive(
         // take here: workers already fired everything.)
         struct Slot {
             index: u32,
+            worker: usize,
             fired: FireOut,
             alloc_tokens: Vec<Token>,
         }
@@ -418,7 +442,7 @@ fn drive(
                 break;
             }
             let delta = deltas[i].expect("every token before the first error has a record");
-            let Some(mut fired) = fires[i].take() else {
+            let Some((worker, mut fired)) = fires[i].take() else {
                 merged.push((delta, None));
                 continue;
             };
@@ -428,7 +452,7 @@ fn drive(
                 fuel_idx = Some(i as u32);
             }
             let mut alloc_tokens: Vec<Token> = Vec::new();
-            if let Some((len, dests)) = fired.alloc.take() {
+            if let Some((len, issuer)) = fired.alloc.take() {
                 let id = next_struct_id;
                 next_struct_id += 1;
                 creates[shard_of(id, threads)].push((id, len));
@@ -436,13 +460,14 @@ fn drive(
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(issuer, dests_of(d.program, issuer)) {
                     alloc_tokens.push(Token::new(rtag, port, p));
                 }
             }
             merged.push((delta, Some(slots.len())));
             slots.push(Slot {
                 index: i as u32,
+                worker,
                 fired,
                 alloc_tokens,
             });
@@ -452,7 +477,9 @@ fn drive(
         // them (plus this wave's creates), cut at the first error.
         let cut = first_err.as_ref().map_or(u32::MAX, |(j, _)| *j);
         let need_struct = any_ops || creates.iter().any(|c| !c.is_empty());
-        let mut op_outs: Vec<Option<OpOut>> = (0..wlen).map(|_| None).collect();
+        // Each op's output with the shard whose token buffer holds it.
+        let mut op_outs: Vec<Option<(usize, OpOut)>> = (0..wlen).map(|_| None).collect();
+        let mut op_tokens: Vec<Vec<Token>> = vec![Vec::new(); threads];
         if need_struct {
             for (w, c) in creates.iter_mut().enumerate() {
                 d.job_txs[w]
@@ -469,17 +496,18 @@ fn drive(
                 };
                 for o in rep.outs {
                     let i = o.index as usize;
-                    op_outs[i] = Some(o);
+                    op_outs[i] = Some((w, o));
                 }
+                op_tokens[w] = rep.tokens;
                 if let Some((i, e)) = rep.err {
                     if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
                         first_err = Some((i, e));
                     }
                 }
                 deferred_by_worker[w] = rep.deferred_outstanding;
-                istore_immediate += rep.immediate;
-                istore_deferred += rep.deferred;
-                istore_writes += rep.writes;
+                istore.immediate += rep.counts.immediate;
+                istore.deferred += rep.counts.deferred;
+                istore.writes += rep.counts.writes;
             }
         }
 
@@ -531,13 +559,13 @@ fn drive(
                 outputs.insert(s, v);
             }
             let mut emitted = slot.fired.tokens.len();
-            next.append(&mut slot.fired.tokens);
-            if let Some(op) = op_outs[slot.index as usize].as_mut() {
+            next.extend_from_slice(&fire_tokens[slot.worker][slot.fired.tokens.clone()]);
+            if let Some((w, op)) = op_outs[slot.index as usize].as_mut() {
                 if let Some(sk) = &sink {
                     op.traces.replay_into(sk);
                 }
                 emitted += op.tokens.len();
-                next.append(&mut op.tokens);
+                next.extend_from_slice(&op_tokens[*w][op.tokens.clone()]);
             }
             emitted += slot.alloc_tokens.len();
             next.append(&mut slot.alloc_tokens);
@@ -592,9 +620,9 @@ fn drive(
         contexts: d.ctxs.allocated(),
         peak_matching,
         peak_deferred,
-        istore_immediate,
-        istore_deferred,
-        istore_writes,
+        istore_immediate: istore.immediate,
+        istore_deferred: istore.deferred,
+        istore_writes: istore.writes,
     })
 }
 
@@ -639,7 +667,9 @@ fn worker(h: WorkerHandle<'_>) {
                 }
                 ops.retain(|o| o.index < cut);
                 ops.sort_unstable_by_key(|o| o.index);
-                Reply::Struct(apply_struct_ops(&mut shard, now, creates, ops, h.traced))
+                Reply::Struct(apply_struct_ops(
+                    h.program, &mut shard, now, creates, ops, h.traced,
+                ))
             }
         };
         if h.replies.send(reply).is_err() {
@@ -651,6 +681,8 @@ fn worker(h: WorkerHandle<'_>) {
 /// Per-wave worker-local execution state.
 struct ExecState {
     fires: Vec<(u32, FireOut)>,
+    /// The flat token buffer every firing of the wave executes into.
+    tokens: Vec<Token>,
     /// Structure ops buffered per owning shard, flushed once per peer at
     /// the end of the wave.
     opbufs: Vec<Vec<StructOp>>,
@@ -694,6 +726,7 @@ fn run_wave(
 
     let mut exec = ExecState {
         fires: Vec::new(),
+        tokens: Vec::new(),
         opbufs: (0..h.threads).map(|_| Vec::new()).collect(),
         err,
         steals: Vec::new(),
@@ -732,6 +765,7 @@ fn run_wave(
         WaveReply {
             deltas,
             fires: exec.fires,
+            tokens: exec.tokens,
             err: exec.err,
             has_ops,
             steals: exec.steals,
@@ -804,12 +838,13 @@ fn exec_one(h: &WorkerHandle<'_>, wctx: &mut WorkerCtx<'_>, r: Ready, exec: &mut
         .block(tag.c)
         .and_then(|b| b.instr(tag.s))
         .expect("absorb resolved the instruction");
-    match execute(h.program, wctx, tag, instr, &operands) {
-        Ok(mut eff) => {
+    let start = exec.tokens.len();
+    match execute(h.program, wctx, tag, instr, &operands, &mut exec.tokens) {
+        Ok(eff) => {
             let mut alloc = None;
-            match eff.action.take() {
+            match eff.action {
                 None => {}
-                Some(StructAction::Alloc { len, dests }) => alloc = Some((len, dests)),
+                Some(StructAction::Alloc { len }) => alloc = Some((len, tag)),
                 Some(action @ StructAction::Fetch { .. })
                 | Some(action @ StructAction::Store { .. }) => {
                     let ptr = match &action {
@@ -823,7 +858,7 @@ fn exec_one(h: &WorkerHandle<'_>, wctx: &mut WorkerCtx<'_>, r: Ready, exec: &mut
                 index,
                 FireOut {
                     is_alu: eff.is_alu,
-                    tokens: eff.tokens,
+                    tokens: start..exec.tokens.len(),
                     output: eff.output,
                     alloc,
                 },
@@ -848,6 +883,7 @@ pub(crate) fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
 /// mirroring the sequential backend's inline handling (including its
 /// trace event order, buffered for coordinator replay).
 fn apply_struct_ops(
+    program: &Program,
     shard: &mut IStructureShard<Value, (ActivityName, Port)>,
     now: Cycle,
     creates: Vec<(u32, usize)>,
@@ -858,21 +894,28 @@ fn apply_struct_ops(
         shard.create(id, len);
     }
     let mut outs = Vec::with_capacity(ops.len());
+    let mut tokens = Vec::new();
     let mut err = None;
-    let mut immediate = 0u64;
-    let mut deferred = 0u64;
-    let mut writes = 0u64;
+    let mut counts = IStoreCounts::default();
     for op in ops {
+        let (index, start) = (op.index, tokens.len());
+        let mut traces = EventBuffer::new();
+        let dests = dests_of(program, op.tag);
         match apply_one(
             shard,
             op,
+            dests,
             now,
             traced,
-            &mut immediate,
-            &mut deferred,
-            &mut writes,
+            &mut counts,
+            &mut tokens,
+            &mut traces,
         ) {
-            Ok(out) => outs.push(out),
+            Ok(()) => outs.push(OpOut {
+                index,
+                tokens: start..tokens.len(),
+                traces,
+            }),
             Err((i, e)) => {
                 err = Some((i, e));
                 break;
@@ -881,40 +924,38 @@ fn apply_struct_ops(
     }
     StructReply {
         outs,
+        tokens,
         err,
         deferred_outstanding: shard.deferred_outstanding(),
-        immediate,
-        deferred,
-        writes,
+        counts,
     }
 }
 
 /// Applies one fetch/store to its owning shard, mirroring the
-/// sequential backend's inline handling — tokens and trace events come
-/// back in the exact sequential order. Shared with the relaxed backend
-/// (which passes `index = 0`: it has no wave order to preserve).
+/// sequential backend's inline handling — tokens are pushed onto
+/// `tokens` and trace events onto `traces` in the exact sequential order.
+/// `dests` are the issuing instruction's destinations, expanded into the
+/// op's continuation. Shared with the relaxed backend (which passes
+/// `index = 0`: it has no wave order to preserve).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_one(
     shard: &mut IStructureShard<Value, (ActivityName, Port)>,
     op: StructOp,
+    dests: &[Dest],
     now: Cycle,
     traced: bool,
-    immediate: &mut u64,
-    deferred: &mut u64,
-    writes: &mut u64,
-) -> Result<OpOut, (u32, ExecError)> {
+    counts: &mut IStoreCounts,
+    tokens: &mut Vec<Token>,
+    traces: &mut EventBuffer,
+) -> Result<(), (u32, ExecError)> {
     let StructOp { index, tag, action } = op;
-    let mut out = OpOut {
-        index,
-        tokens: Vec::new(),
-        traces: EventBuffer::new(),
-    };
     let fail = |e: ExecError| (index, e);
     match action {
         StructAction::Alloc { .. } => {
             unreachable!("allocations are resolved on the coordinator")
         }
-        StructAction::Fetch { ptr, idx, dests } => {
-            for (rtag, port) in dests {
+        StructAction::Fetch { ptr, idx } => {
+            for (rtag, port) in continuation(tag, dests) {
                 let before = if traced {
                     shard
                         .store(ptr.id)
@@ -930,10 +971,10 @@ pub(crate) fn apply_one(
                     .map_err(|e| fail(e.into()))?;
                 match outcome {
                     ReadOutcome::Value(v) => {
-                        *immediate += 1;
-                        out.tokens.push(Token::new(rtag, port, v));
+                        counts.immediate += 1;
+                        tokens.push(Token::new(rtag, port, v));
                         if traced {
-                            out.traces.push(
+                            traces.push(
                                 now,
                                 TraceEvent::IStoreRead {
                                     module: ptr.id,
@@ -943,9 +984,9 @@ pub(crate) fn apply_one(
                         }
                     }
                     ReadOutcome::Deferred => {
-                        *deferred += 1;
+                        counts.deferred += 1;
                         if traced {
-                            out.traces.push(
+                            traces.push(
                                 now,
                                 TraceEvent::IStoreRead {
                                     module: ptr.id,
@@ -958,7 +999,7 @@ pub(crate) fn apply_one(
                                 .deferred_count(Addr(idx))
                                 .map_err(|e| fail(e.into()))?
                                 as u64;
-                            out.traces.push(
+                            traces.push(
                                 now,
                                 TraceEvent::DeferEnqueue {
                                     module: ptr.id,
@@ -966,7 +1007,7 @@ pub(crate) fn apply_one(
                                 },
                             );
                             if before != Presence::Deferred {
-                                out.traces.push(
+                                traces.push(
                                     now,
                                     TraceEvent::Presence {
                                         module: ptr.id,
@@ -980,12 +1021,7 @@ pub(crate) fn apply_one(
                 }
             }
         }
-        StructAction::Store {
-            ptr,
-            idx,
-            value,
-            dests,
-        } => {
+        StructAction::Store { ptr, idx, value } => {
             let before = if traced {
                 shard
                     .store(ptr.id)
@@ -995,20 +1031,18 @@ pub(crate) fn apply_one(
             } else {
                 Presence::Empty
             };
-            // Released readers stream straight into the reply's token
-            // buffer (the packed store's zero-allocation release path).
-            let tokens = &mut out.tokens;
+            // Released readers stream straight into the token buffer (the
+            // packed store's zero-allocation release path).
             let released = shard
                 .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
                     tokens.push(Token::new(rtag, port, value));
                 })
                 .ok_or_else(|| fail(dangling(tag, ptr)))?
                 .map_err(|e| fail(e.into()))?;
-            *writes += 1;
+            counts.writes += 1;
             if traced {
-                out.traces
-                    .push(now, TraceEvent::IStoreWrite { module: ptr.id });
-                out.traces.push(
+                traces.push(now, TraceEvent::IStoreWrite { module: ptr.id });
+                traces.push(
                     now,
                     TraceEvent::Presence {
                         module: ptr.id,
@@ -1017,7 +1051,7 @@ pub(crate) fn apply_one(
                     },
                 );
                 if released > 0 {
-                    out.traces.push(
+                    traces.push(
                         now,
                         TraceEvent::DeferRelease {
                             module: ptr.id,
@@ -1026,10 +1060,10 @@ pub(crate) fn apply_one(
                     );
                 }
             }
-            for (rtag, port) in dests {
-                out.tokens.push(Token::new(rtag, port, Value::Unit));
+            for (rtag, port) in continuation(tag, dests) {
+                tokens.push(Token::new(rtag, port, Value::Unit));
             }
         }
     }
-    Ok(out)
+    Ok(())
 }

@@ -38,6 +38,11 @@
 //! Every [`DRAIN_EVERY`] firings a worker therefore flushes its outbound
 //! batches and drains its inbox without blocking, which bounds that
 //! backlog by the drain interval instead of the loop's trip count.
+//! That bound assumes the peers keep running. On a host with more
+//! runnable threads than cores, the peer that owes this worker its
+//! results can wait a whole time slice for a core, while this worker
+//! runs its chain ahead. A drain that finds the inbox empty therefore
+//! yields the core.
 //!
 //! # Quiescence
 //!
@@ -104,10 +109,10 @@ use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, execute, StructAction};
+use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
-use crate::par::{apply_one, StructOp};
+use crate::par::{apply_one, IStoreCounts, StructOp};
 use crate::place::{place, MappingPolicy};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
@@ -195,9 +200,7 @@ struct WorkerOut {
     /// Peak and final deferred-reader counts of this worker's shard.
     peak_deferred: usize,
     deferred_outstanding: usize,
-    istore_immediate: u64,
-    istore_deferred: u64,
-    istore_writes: u64,
+    istore: IStoreCounts,
     traces: EventBuffer,
 }
 
@@ -219,9 +222,11 @@ pub(crate) fn submit(
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
     let mut nseeds = 0usize;
     for job in jobs {
-        let block = program.block(job.block).ok_or(ExecError::BadTarget {
-            activity: job.block.to_string(),
-        })?;
+        let block = program
+            .block(job.block)
+            .ok_or_else(|| ExecError::BadTarget {
+                activity: job.block.to_string(),
+            })?;
         if job.inputs.len() != block.params.len() {
             return Err(ExecError::InputArity {
                 expected: block.params.len(),
@@ -329,9 +334,9 @@ pub(crate) fn submit(
         result.alu_ops += o.alu_ops;
         result.peak_matching += o.peak_matching;
         result.peak_deferred += o.peak_deferred;
-        result.istore_immediate += o.istore_immediate;
-        result.istore_deferred += o.istore_deferred;
-        result.istore_writes += o.istore_writes;
+        result.istore_immediate += o.istore.immediate;
+        result.istore_deferred += o.istore.deferred;
+        result.istore_writes += o.istore.writes;
         if let Some(s) = &sink {
             o.traces.replay_into(s);
         }
@@ -365,6 +370,10 @@ struct Worker<'a, 'p> {
     obufs: Vec<Vec<ShardOp>>,
     tbufs: Vec<Vec<Token>>,
     peers: Vec<Sender<Msg>>,
+    /// The firing path's token buffer, reused by every firing.
+    emitted: Vec<Token>,
+    /// Tokens one structure op produced, reused by every op.
+    released: Vec<Token>,
     /// Whether this worker's hold is counted in `in_flight`.
     holding: bool,
     /// Firings since the last drain, not yet in `shared.fired`.
@@ -394,6 +403,8 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
         obufs: (0..threads).map(|_| Vec::new()).collect(),
         tbufs: (0..threads).map(|_| Vec::new()).collect(),
         peers,
+        emitted: Vec::new(),
+        released: Vec::new(),
         holding: false,
         unpublished: 0,
         fired_seen: 0,
@@ -406,9 +417,7 @@ fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<M
             stranded: 0,
             peak_deferred: 0,
             deferred_outstanding: 0,
-            istore_immediate: 0,
-            istore_deferred: 0,
-            istore_writes: 0,
+            istore: IStoreCounts::default(),
             traces: EventBuffer::new(),
         },
     };
@@ -479,7 +488,8 @@ impl Worker<'_, '_> {
 
     /// The bounded-backlog step: publish firings to the fuel meter,
     /// flush outbound batches, check for poison, then take everything
-    /// already waiting in the inbox without blocking.
+    /// already waiting in the inbox without blocking, or yield the core
+    /// to the peers if nothing has arrived.
     fn drain(&mut self) {
         let n = std::mem::take(&mut self.unpublished);
         self.out.fired += n;
@@ -493,11 +503,16 @@ impl Worker<'_, '_> {
             self.halted = true;
             return;
         }
+        let mut received = false;
         while let Ok(msg) = self.rx.try_recv() {
+            received = true;
             if !self.handle(msg) {
                 self.halted = true;
                 return;
             }
+        }
+        if !received && self.shared.threads > 1 {
+            std::thread::yield_now();
         }
     }
 
@@ -553,21 +568,26 @@ impl Worker<'_, '_> {
     /// Applies one fetch/store against the local shard, routing any
     /// produced tokens (fetched values, released readers).
     fn apply_op(&mut self, op: StructOp) {
+        // A store's completion signal was already routed by its firer
+        // (see `process_token`), so only a fetch has a continuation here.
+        let dests = match op.action {
+            StructAction::Fetch { .. } => dests_of(self.shared.program, op.tag),
+            _ => &[],
+        };
+        let mut released = std::mem::take(&mut self.released);
         let res = apply_one(
             &mut self.shard,
             op,
+            dests,
             Cycle::ZERO,
             self.shared.traced,
-            &mut self.out.istore_immediate,
-            &mut self.out.istore_deferred,
-            &mut self.out.istore_writes,
+            &mut self.out.istore,
+            &mut released,
+            &mut self.out.traces,
         );
         match res {
-            Ok(out) => {
-                for (c, ev) in out.traces.events() {
-                    self.out.traces.push(*c, *ev);
-                }
-                for t in out.tokens {
+            Ok(()) => {
+                for t in released.drain(..) {
                     self.route(t);
                 }
                 self.out.peak_deferred = self
@@ -575,8 +595,12 @@ impl Worker<'_, '_> {
                     .peak_deferred
                     .max(self.shard.deferred_outstanding());
             }
-            Err((_, e)) => self.fail(e),
+            Err((_, e)) => {
+                released.clear();
+                self.fail(e);
+            }
         }
+        self.released = released;
     }
 
     /// Takes a structure id from the private lease, refilling it from
@@ -620,7 +644,14 @@ impl Worker<'_, '_> {
             .block(tag.c)
             .and_then(|b| b.instr(tag.s))
             .expect("absorb resolved the instruction");
-        let mut eff = match execute(self.shared.program, &mut self.wctx, tag, instr, &operands) {
+        let eff = match execute(
+            self.shared.program,
+            &mut self.wctx,
+            tag,
+            instr,
+            &operands,
+            &mut self.emitted,
+        ) {
             Ok(eff) => eff,
             Err(e) => {
                 self.fail(e);
@@ -640,55 +671,42 @@ impl Worker<'_, '_> {
             alu: eff.is_alu,
             busy: 0,
         });
-        if let Some((slot, v)) = eff.output.take() {
+        if let Some((slot, v)) = eff.output {
             self.out.outputs.insert(slot, v);
         }
         // Dispatch the structure op *before* routing any token of this
         // firing: a consumer reached through a token may issue a
         // dependent op, and the dependency must already be in the
         // owner's queue (see the module docs on causality).
-        match eff.action.take() {
+        match eff.action {
             None => {}
-            Some(StructAction::Alloc { len, dests }) => {
+            Some(StructAction::Alloc { len }) => {
                 let id = self.take_struct_id();
                 self.dispatch_create(id, len);
                 let p = Value::Ptr(StructRef {
                     id,
                     len: len as u32,
                 });
-                for (rtag, port) in dests {
+                for (rtag, port) in continuation(tag, &instr.dests) {
                     self.route(Token::new(rtag, port, p));
                 }
             }
-            Some(StructAction::Fetch { ptr, idx, dests }) => {
-                self.dispatch_op(tag, StructAction::Fetch { ptr, idx, dests });
-            }
-            Some(StructAction::Store {
-                ptr,
-                idx,
-                value,
-                dests,
-            }) => {
+            Some(action @ StructAction::Fetch { .. }) => self.dispatch_op(tag, action),
+            Some(action @ StructAction::Store { .. }) => {
                 // The completion signal is emitted here, by the firer:
                 // the op is flushed before the token, so a fetch the
                 // signal unlocks cannot overtake the store.
-                self.dispatch_op(
-                    tag,
-                    StructAction::Store {
-                        ptr,
-                        idx,
-                        value,
-                        dests: Vec::new(),
-                    },
-                );
-                for (rtag, port) in dests {
+                self.dispatch_op(tag, action);
+                for (rtag, port) in continuation(tag, &instr.dests) {
                     self.route(Token::new(rtag, port, Value::Unit));
                 }
             }
         }
-        for t in std::mem::take(&mut eff.tokens) {
+        let mut emitted = std::mem::take(&mut self.emitted);
+        for t in emitted.drain(..) {
             self.route(t);
         }
+        self.emitted = emitted;
     }
 
     /// Flushes outbound batches: ops to every peer first, then tokens —

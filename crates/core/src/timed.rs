@@ -16,6 +16,7 @@
 //! (the paper's claim, tested in E1/E14).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ttda_mem::{Addr, IStructureError, IStructureShard, Presence};
 use ttda_net::{Fabric, FabricConfig, Ideal, NodeId, Topology};
@@ -23,7 +24,7 @@ use ttda_sim::{Cycle, EventQueue};
 use ttda_trace::{PresenceState, SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{absorb, execute, Continuation, StructAction};
+use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
 use crate::graph::Program;
 use crate::matching::MatchingStore;
 use crate::place::{place, MappingPolicy};
@@ -199,8 +200,13 @@ enum Ev {
     Deliver { pe: usize, token: Token },
     /// A PE is ready to service its queue.
     Wake { pe: usize },
-    /// A `d=1` packet reaches an I-structure module.
-    IsOp { module: usize, action: StructAction },
+    /// A `d=1` packet reaches an I-structure module. `issuer` is the
+    /// firing that sent it; its destinations are the op's continuation.
+    IsOp {
+        module: usize,
+        issuer: ActivityName,
+        action: StructAction,
+    },
 }
 
 #[derive(Debug, Default)]
@@ -247,7 +253,9 @@ struct ModState {
 /// assert!(r.stats.cycles > Cycle(0));
 /// ```
 pub struct TimedMachine<T> {
-    program: Program,
+    /// Shared so a run can borrow instructions from its own handle while
+    /// it mutates the fabric and sink through `&mut self`.
+    program: Arc<Program>,
     config: TimedConfig,
     fabric: Fabric<T>,
     sink: Option<SharedSink>,
@@ -277,7 +285,7 @@ impl<T: Topology> TimedMachine<T> {
     /// Fig 2-3's "PE, PE, ... I-structure storage" arrangement).
     pub fn new(program: Program, topology: T, config: TimedConfig) -> Self {
         TimedMachine {
-            program,
+            program: Arc::new(program),
             config,
             fabric: Fabric::new(topology, config.fabric),
             sink: None,
@@ -389,11 +397,12 @@ impl<T: Topology> TimedMachine<T> {
             }
         };
 
-        let mut ctx = ContextManager::new(self.program.main);
+        let program = Arc::clone(&self.program);
+        let mut ctx = ContextManager::new(program.main);
         // Criticality lookup for the PE input queues; `None` under FIFO,
         // where every token lands at priority 0 and the bucket queue
         // degenerates to the historical ring.
-        let crit = (cfg.sched == SchedPolicy::Crit).then(|| CritMap::of(&self.program));
+        let crit = (cfg.sched == SchedPolicy::Crit).then(|| CritMap::of(&program));
         let prio = |t: &Token| crit.as_ref().map_or(0, |c| c.criticality(t.tag));
         let mut pes: Vec<PeState> = (0..n).map(|_| PeState::default()).collect();
         let mut modules: Vec<ModState> = (0..n).map(|_| ModState::default()).collect();
@@ -406,20 +415,27 @@ impl<T: Topology> TimedMachine<T> {
         let mut tokens_delivered: u64 = 0;
         let mut tokens_remote: u64 = 0;
         let mut peak_matching: usize = 0;
+        // Tokens parked across every PE's matching store, kept current at
+        // each absorb instead of summed over the PEs per event.
+        let mut waiting_total: usize = 0;
         let mut match_overflows: u64 = 0;
         let mut peak_queue: usize = 0;
         let mut is_immediate: u64 = 0;
         let mut is_deferred: u64 = 0;
         let mut is_writes: u64 = 0;
         let mut end = Cycle::ZERO;
+        // The firing path's token buffer, reused by every firing.
+        let mut emitted: Vec<Token> = Vec::new();
 
         // Inject every job's inputs at time zero, each under its own
         // fresh root context.
         for job in jobs {
             let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self.program.block(*block_id).ok_or(ExecError::BadTarget {
-                activity: block_id.to_string(),
-            })?;
+            let block = program
+                .block(*block_id)
+                .ok_or_else(|| ExecError::BadTarget {
+                    activity: block_id.to_string(),
+                })?;
             if inputs.len() != block.params.len() {
                 return Err(ExecError::InputArity {
                     expected: block.params.len(),
@@ -472,7 +488,9 @@ impl<T: Topology> TimedMachine<T> {
                         busy += cfg.match_overflow_penalty;
                         match_overflows += 1;
                     }
-                    let enabled = absorb(&self.program, &mut pes[pe].waiting, token)?;
+                    let parked_before = pes[pe].waiting.len();
+                    let enabled = absorb(&program, &mut pes[pe].waiting, token)?;
+                    waiting_total = waiting_total - parked_before + pes[pe].waiting.len();
                     if sink.is_some() {
                         trace(now, &TraceEvent::TokenConsume { pe: pe as u32 });
                         if enabled.is_none() {
@@ -486,22 +504,20 @@ impl<T: Topology> TimedMachine<T> {
                         }
                     }
                     if let Some((tag, ops)) = enabled {
-                        let instr = self
-                            .program
+                        let instr = program
                             .block(tag.c)
                             .and_then(|b| b.instr(tag.s))
                             .ok_or_else(|| ExecError::BadTarget {
                                 activity: tag.to_string(),
-                            })?
-                            .clone();
+                            })?;
                         instructions += 1;
-                        let eff = execute(&self.program, &mut ctx, tag, &instr, &ops)?;
+                        let eff = execute(&program, &mut ctx, tag, instr, &ops, &mut emitted)?;
                         busy += cfg.alu_time;
                         if eff.is_alu {
                             alu_ops += 1;
                             pes[pe].alu_busy += cfg.alu_time;
                         }
-                        let emit_count = eff.tokens.len() as u64;
+                        let emit_count = emitted.len() as u64;
                         busy += cfg.output_time.saturating_mul(emit_count);
                         let done = now + busy;
                         trace(
@@ -513,7 +529,7 @@ impl<T: Topology> TimedMachine<T> {
                             },
                         );
 
-                        for t in eff.tokens {
+                        for t in emitted.drain(..) {
                             let dest = self.pe_of(t.tag);
                             trace(done, &TraceEvent::TokenEmit { pe: dest as u32 });
                             if dest == pe {
@@ -529,7 +545,7 @@ impl<T: Topology> TimedMachine<T> {
                         }
                         if let Some(action) = eff.action {
                             match action {
-                                StructAction::Alloc { len, dests } => {
+                                StructAction::Alloc { len } => {
                                     // Allocation is a controller (d=2) job
                                     // at the firing PE.
                                     let ptr = Value::Ptr(StructRef {
@@ -538,11 +554,12 @@ impl<T: Topology> TimedMachine<T> {
                                     });
                                     next_struct += 1;
                                     self.route_value(
+                                        &program,
                                         &mut q,
                                         done,
                                         pe,
                                         ptr,
-                                        &dests,
+                                        tag,
                                         &mut tokens_remote,
                                     );
                                 }
@@ -555,7 +572,14 @@ impl<T: Topology> TimedMachine<T> {
                                         tokens_remote += 1;
                                         self.fabric.send(done, NodeId(pe), NodeId(module))
                                     };
-                                    q.push(arrive, Ev::IsOp { module, action });
+                                    q.push(
+                                        arrive,
+                                        Ev::IsOp {
+                                            module,
+                                            issuer: tag,
+                                            action,
+                                        },
+                                    );
                                 }
                             }
                         }
@@ -563,8 +587,7 @@ impl<T: Topology> TimedMachine<T> {
                     } else {
                         pes[pe].busy_until = now + busy;
                     }
-                    let total_waiting: usize = pes.iter().map(|p| p.waiting.len()).sum();
-                    peak_matching = peak_matching.max(total_waiting);
+                    peak_matching = peak_matching.max(waiting_total);
                     let wake_at = pes[pe].busy_until;
                     if pes[pe].queue.is_empty() {
                         pes[pe].wake_scheduled = false;
@@ -572,8 +595,12 @@ impl<T: Topology> TimedMachine<T> {
                         q.push(wake_at, Ev::Wake { pe });
                     }
                 }
-                Ev::IsOp { module, action } => match action {
-                    StructAction::Fetch { ptr, idx, dests } => {
+                Ev::IsOp {
+                    module,
+                    issuer,
+                    action,
+                } => match action {
+                    StructAction::Fetch { ptr, idx } => {
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
                         let start = now.max(m.port_free);
@@ -601,10 +628,18 @@ impl<T: Topology> TimedMachine<T> {
                                     immediate: true,
                                 },
                             );
-                            self.route_value(&mut q, done, module, v, &dests, &mut tokens_remote);
+                            self.route_value(
+                                &program,
+                                &mut q,
+                                done,
+                                module,
+                                v,
+                                issuer,
+                                &mut tokens_remote,
+                            );
                         } else {
                             is_deferred += 1;
-                            for reader in dests {
+                            for reader in continuation(issuer, dests_of(&program, issuer)) {
                                 m.store
                                     .read(ptr.id, local, reader)
                                     .expect("just ensured")
@@ -644,12 +679,7 @@ impl<T: Topology> TimedMachine<T> {
                             }
                         }
                     }
-                    StructAction::Store {
-                        ptr,
-                        idx,
-                        value,
-                        dests,
-                    } => {
+                    StructAction::Store { ptr, idx, value } => {
                         let (local, size) = self.local_slot(ptr, idx);
                         let m = &mut modules[module];
                         let start = now.max(m.port_free);
@@ -716,11 +746,12 @@ impl<T: Topology> TimedMachine<T> {
                             .expect("just ensured")
                             .map_err(|e| globalize(e, ptr, idx))?;
                         self.route_value(
+                            &program,
                             &mut q,
                             done,
                             module,
                             Value::Unit,
-                            &dests,
+                            issuer,
                             &mut tokens_remote,
                         );
                     }
@@ -731,7 +762,7 @@ impl<T: Topology> TimedMachine<T> {
 
         // Quiescent: verify nothing is stranded. Deferred *readers* are
         // counted (not deferred cells), matching the emulator's figure.
-        let stranded: usize = pes.iter().map(|p| p.waiting.len()).sum::<usize>()
+        let stranded: usize = waiting_total
             + modules
                 .iter()
                 .map(|m| m.store.deferred_outstanding())
@@ -770,17 +801,20 @@ impl<T: Topology> TimedMachine<T> {
         })
     }
 
-    /// Routes `value` from `from` to each continuation slot.
+    /// Routes `value` from `from` to each continuation slot of the
+    /// structure op `issuer` fired.
+    #[allow(clippy::too_many_arguments)]
     fn route_value(
         &mut self,
+        program: &Program,
         q: &mut EventQueue<Ev>,
         at: Cycle,
         from: usize,
         value: Value,
-        dests: &Continuation,
+        issuer: ActivityName,
         tokens_remote: &mut u64,
     ) {
-        for &(tag, port) in dests {
+        for (tag, port) in continuation(issuer, dests_of(program, issuer)) {
             self.route_one(q, at, from, value, tag, port, tokens_remote);
         }
     }

@@ -44,6 +44,14 @@ impl Wave {
         self.tags.is_empty()
     }
 
+    /// Empties the wave, keeping its capacity, so the emulator can
+    /// recycle one buffer across waves.
+    pub(crate) fn clear(&mut self) {
+        self.tags.clear();
+        self.ports.clear();
+        self.values.clear();
+    }
+
     /// Appends one token from its parts.
     pub(crate) fn push(&mut self, tag: ActivityName, port: Port, value: Value) {
         self.tags.push(tag);
@@ -161,6 +169,10 @@ mod tests {
         );
         w.extend_tokens(spill);
         assert_eq!(w.len(), 6);
+        w.clear();
+        assert!(w.is_empty());
+        w.push(tag(9), Port(1), Value::Unit);
+        assert_eq!(w.token(0), Token::new(tag(9), Port(1), Value::Unit));
     }
 
     #[test]
