@@ -1,4 +1,4 @@
-//! Criterion bench behind Experiment E21: the parallel wave backends.
+//! Criterion bench behind Experiment E21: sequential vs the relaxed backend.
 //! The bodies live in `ttda_bench::suites` so the `experiments
 //! quickbench` subcommand can run the same targets.
 

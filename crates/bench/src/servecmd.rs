@@ -4,8 +4,10 @@
 //! This is the interactive face of the service scheduler (E20 is the
 //! sweep): pick an offered load relative to the calibrated service
 //! rate, drain it, and read the per-tenant sojourn percentiles. All
-//! printed numbers are virtual-time integers, deterministic per seed at
-//! any `--threads` setting.
+//! printed numbers are virtual-time integers, deterministic per seed.
+//! Without `--high-water` they are also the same at any `--threads`
+//! setting except the peak matching window, which the relaxed backend
+//! (`--threads N > 1`) reports schedule-dependently.
 
 use std::process::ExitCode;
 
@@ -19,18 +21,19 @@ fn parse_flag<T: std::str::FromStr>(name: &str, value: Option<&String>) -> Resul
 }
 
 /// Runs `experiments serve [--load L] [--requests N] [--seed S]
-/// [--quota Q] [--high-water H]`.
+/// [--quota Q] [--high-water H] [--threads N]`.
 ///
 /// `--load` is the offered load as a multiple of the calibrated service
 /// rate (default 1.2: just past the knee), `--requests` the per-tenant
-/// stream length. Worker threads come from the global `--threads` flag
-/// (via `TTDA_THREADS`).
+/// stream length, `--threads` the emulator worker threads per burst
+/// (default 1, the sequential interpreter; `0` = one per core).
 pub fn serve_main(args: &[String]) -> ExitCode {
     let mut load = 1.2f64;
     let mut requests = 64u64;
     let mut seed = 42u64;
     let mut quota = 8usize;
     let mut high_water = usize::MAX;
+    let mut threads = 1usize;
     let mut it = args.iter();
     let parsed = (|| -> Result<(), String> {
         while let Some(a) = it.next() {
@@ -40,6 +43,7 @@ pub fn serve_main(args: &[String]) -> ExitCode {
                 "--seed" => seed = parse_flag(a, it.next())?,
                 "--quota" => quota = parse_flag(a, it.next())?,
                 "--high-water" => high_water = parse_flag(a, it.next())?,
+                "--threads" => threads = parse_flag(a, it.next())?,
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -54,15 +58,11 @@ pub fn serve_main(args: &[String]) -> ExitCode {
     if let Err(e) = parsed {
         eprintln!("error: {e}");
         eprintln!(
-            "usage: experiments serve [--load L] [--requests N] [--seed S] [--quota Q] [--high-water H]"
+            "usage: experiments serve [--load L] [--requests N] [--seed S] [--quota Q] [--high-water H] [--threads N]"
         );
         return ExitCode::FAILURE;
     }
 
-    let threads: usize = std::env::var("TTDA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let (program, tenants, cost) = loaded_service_scenario(load, requests);
     let cfg = ServiceConfig {
         seed,

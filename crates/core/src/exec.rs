@@ -169,7 +169,7 @@ pub(crate) fn absorb(
 ///
 /// Only `D` and `Apply` *mutate* the context table (entering a loop or
 /// a call); everything else at most reads it, via [`execute_ro`]. On
-/// the parallel backends workers execute the mutating opcodes too,
+/// the relaxed backend workers execute the mutating opcodes too,
 /// drawing ids from leased blocks of a
 /// [`crate::context::SharedContexts`] table — context id *values* then
 /// differ from a sequential run, but they never escape an

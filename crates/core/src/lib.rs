@@ -56,7 +56,6 @@ mod graph;
 mod machine;
 pub mod matching;
 pub mod opt;
-mod par;
 mod place;
 mod relaxed;
 mod sched;

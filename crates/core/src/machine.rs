@@ -172,8 +172,8 @@ pub trait Machine: Sized {
     fn with_fuel(self, fuel: u64) -> Self;
 
     /// Selects how many host worker threads execute the program. The
-    /// emulator switches to its parallel wave backend for `n > 1` (`0` =
-    /// one per core); the timed machine is a discrete-event simulation
+    /// emulator switches to its parallel relaxed backend for `n > 1`
+    /// (`0` = one per core); the timed machine is a discrete-event simulation
     /// driven by a single event queue, so it accepts the setting for
     /// interface uniformity and always simulates its PEs on one thread.
     fn with_threads(self, threads: usize) -> Self;

@@ -231,10 +231,8 @@ impl MatchingStore {
     /// the last [`MatchingStore::reset_high_water`]) — an O(1) counter
     /// maintained at the single insertion site, so backpressure policies
     /// (the `ttda-workloads` service scheduler) can poll it instead of
-    /// scanning. Under the parallel wave backend each shard keeps its
-    /// own store; the coordinator's delta replay aggregates the shards
-    /// into the exact sequential occupancy, which is what
-    /// `EmuResult::peak_matching` reports.
+    /// scanning. Under the relaxed backend each worker keeps its own
+    /// store, and `EmuResult::peak_matching` sums the workers' peaks.
     #[inline]
     pub fn high_water(&self) -> usize {
         self.high_water

@@ -1,6 +1,6 @@
 //! Placement: the one function that maps an activity name to a processing
 //! element (in the [`crate::TimedMachine`]) or a host worker (in the
-//! parallel backends).
+//! relaxed backend).
 //!
 //! "The activity name plus some mapping information uniquely define the
 //! runtime tag and processing element number." Every engine that spreads
@@ -22,7 +22,6 @@ pub enum MappingPolicy {
     /// call/return and loop entry/exit cross workers.
     ByContext,
     /// Hash the full `(u, c, s, i)`: maximal spreading, maximal traffic.
-    /// The deterministic backend's shard placement.
     Spread,
 }
 
@@ -78,8 +77,8 @@ mod tests {
         tags
     }
 
-    /// `Spread` is bit-for-bit the packing the deterministic backend's
-    /// shard router always used, so its results and traces stay put.
+    /// `Spread` is pinned bit-for-bit to one packing of the full name,
+    /// so timed results and traces under it stay put.
     #[test]
     fn spread_is_the_full_name_shard_hash() {
         fn reference(t: ActivityName, workers: usize) -> usize {

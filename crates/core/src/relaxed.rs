@@ -1,9 +1,11 @@
-//! The relaxed (non-deterministic) parallel backend — [`RunMode::Relaxed`].
+//! The parallel backend of the [`Emulator`](crate::Emulator) —
+//! [`RunMode::Relaxed`](crate::RunMode::Relaxed).
 //!
-//! The deterministic backend ([`crate::par`]) pays for bit-identical
-//! results with a wave barrier and an index-ordered merge on the
-//! coordinator. This backend drops both: there is **no coordinator in
-//! the steady state at all**. Each worker owns a waiting–matching shard
+//! Bit-identity with the sequential interpreter would need a wave
+//! barrier and an index-ordered merge on a coordinator: the
+//! synchronization and scheduling code the TTDA's processors exist not
+//! to run. This backend has neither: there is **no coordinator in the
+//! steady state at all**. Each worker owns a waiting–matching shard
 //! and an I-structure shard; tokens flow worker-to-worker over channels
 //! the moment they are produced, wave fronts overlap freely, and the
 //! run ends when a global in-flight counter reaches zero.
@@ -24,8 +26,10 @@
 //! while `waves`/`profile` are reported as `0`/empty (there are no
 //! waves to count), and `peak_matching`, `peak_deferred` and the
 //! immediate/deferred *split* become schedule-dependent approximations
-//! (sums of per-shard observations). The PR's fuzz oracle and property
-//! suite check exactly this contract against the sequential engine.
+//! (sums of per-shard observations). The fuzz oracle's confluence check
+//! (`ttda_workloads::fuzz::oracle::confluent`) states exactly this
+//! contract, and every caller that compares relaxed with sequential
+//! runs uses it.
 //!
 //! # Placement and the bounded backlog
 //!
@@ -85,7 +89,7 @@
 //! never early; after the run, the exact sum of all workers' firings is
 //! checked against the budget once more. So `OutOfFuel` still means
 //! "the program needed more than `fuel` firings", the same condition
-//! the ordered backends enforce.
+//! the sequential interpreter enforces.
 //!
 //! # Causality of structure traffic
 //!
@@ -103,16 +107,15 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 
-use ttda_mem::{shard_of, IStructureShard};
+use ttda_mem::{shard_of, Addr, IStructureShard, Presence, ReadOutcome};
 use ttda_sim::Cycle;
-use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
+use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
 use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
-use crate::graph::Program;
+use crate::graph::{Dest, Program};
 use crate::matching::MatchingStore;
-use crate::par::{apply_one, IStoreCounts, StructOp};
 use crate::place::{place, MappingPolicy};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
 use crate::tag::{ActivityName, Iter, Port, Token};
@@ -218,7 +221,7 @@ pub(crate) fn submit(
     let ctxs = SharedContexts::new(program.main);
     // Seed tokens, sharded by matching owner. Roots are allocated here,
     // before any worker exists, so they get the same dense leading ids
-    // the ordered backends assign.
+    // the sequential interpreter assigns.
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
     let mut nseeds = 0usize;
     for job in jobs {
@@ -542,11 +545,7 @@ impl Worker<'_, '_> {
             StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. } => ptr.id,
             StructAction::Alloc { .. } => unreachable!("allocations are resolved by the firer"),
         };
-        let op = StructOp {
-            index: 0,
-            tag,
-            action,
-        };
+        let op = StructOp { tag, action };
         let owner = shard_of(ptr_id, self.shared.threads);
         if owner == self.me {
             self.apply_op(op);
@@ -595,7 +594,7 @@ impl Worker<'_, '_> {
                     .peak_deferred
                     .max(self.shard.deferred_outstanding());
             }
-            Err((_, e)) => {
+            Err(e) => {
                 released.clear();
                 self.fail(e);
             }
@@ -765,4 +764,157 @@ impl Worker<'_, '_> {
             self.shared.in_flight.fetch_sub(settle, Ordering::SeqCst);
         }
     }
+}
+
+/// A structure operation routed to the shard that owns the structure.
+struct StructOp {
+    /// The firing's activity name (for error rendering).
+    tag: ActivityName,
+    action: StructAction,
+}
+
+/// Read and write counts of structure traffic.
+#[derive(Debug, Clone, Copy, Default)]
+struct IStoreCounts {
+    /// Reads satisfied at once.
+    immediate: u64,
+    /// Reads that waited for their producer.
+    deferred: u64,
+    /// Writes.
+    writes: u64,
+}
+
+/// The error for an op on a structure id no shard has registered.
+fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
+    ExecError::BadTarget {
+        activity: format!("{tag} (dangling {ptr:?})"),
+    }
+}
+
+/// Applies one fetch/store to `shard`, pushing the tokens it produces
+/// (fetched values, released readers, a store's completion signal) onto
+/// `tokens` and its trace events onto `traces`.
+#[allow(clippy::too_many_arguments)]
+fn apply_one(
+    shard: &mut IStructureShard<Value, (ActivityName, Port)>,
+    op: StructOp,
+    dests: &[Dest],
+    now: Cycle,
+    traced: bool,
+    counts: &mut IStoreCounts,
+    tokens: &mut Vec<Token>,
+    traces: &mut EventBuffer,
+) -> Result<(), ExecError> {
+    let StructOp { tag, action } = op;
+    match action {
+        StructAction::Alloc { .. } => {
+            unreachable!("allocations are resolved by the firer")
+        }
+        StructAction::Fetch { ptr, idx } => {
+            for (rtag, port) in continuation(tag, dests) {
+                let before = if traced {
+                    shard
+                        .store(ptr.id)
+                        .ok_or_else(|| dangling(tag, ptr))?
+                        .presence(Addr(idx))?
+                } else {
+                    Presence::Empty
+                };
+                let outcome = shard
+                    .read(ptr.id, Addr(idx), (rtag, port))
+                    .ok_or_else(|| dangling(tag, ptr))??;
+                match outcome {
+                    ReadOutcome::Value(v) => {
+                        counts.immediate += 1;
+                        tokens.push(Token::new(rtag, port, v));
+                        if traced {
+                            traces.push(
+                                now,
+                                TraceEvent::IStoreRead {
+                                    module: ptr.id,
+                                    immediate: true,
+                                },
+                            );
+                        }
+                    }
+                    ReadOutcome::Deferred => {
+                        counts.deferred += 1;
+                        if traced {
+                            traces.push(
+                                now,
+                                TraceEvent::IStoreRead {
+                                    module: ptr.id,
+                                    immediate: false,
+                                },
+                            );
+                            let depth = shard
+                                .store(ptr.id)
+                                .expect("structure present")
+                                .deferred_count(Addr(idx))?
+                                as u64;
+                            traces.push(
+                                now,
+                                TraceEvent::DeferEnqueue {
+                                    module: ptr.id,
+                                    depth,
+                                },
+                            );
+                            if before != Presence::Deferred {
+                                traces.push(
+                                    now,
+                                    TraceEvent::Presence {
+                                        module: ptr.id,
+                                        from: before.as_trace(),
+                                        to: PresenceState::Deferred,
+                                    },
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        StructAction::Store { ptr, idx, value } => {
+            let before = if traced {
+                shard
+                    .store(ptr.id)
+                    .ok_or_else(|| dangling(tag, ptr))?
+                    .presence(Addr(idx))?
+            } else {
+                Presence::Empty
+            };
+            // Released readers stream straight into the token buffer (the
+            // packed store's zero-allocation release path).
+            let released = shard
+                .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
+                    tokens.push(Token::new(rtag, port, value));
+                })
+                .ok_or_else(|| dangling(tag, ptr))??;
+            counts.writes += 1;
+            if traced {
+                traces.push(now, TraceEvent::IStoreWrite { module: ptr.id });
+                traces.push(
+                    now,
+                    TraceEvent::Presence {
+                        module: ptr.id,
+                        from: before.as_trace(),
+                        to: PresenceState::Present,
+                    },
+                );
+                if released > 0 {
+                    traces.push(
+                        now,
+                        TraceEvent::DeferRelease {
+                            module: ptr.id,
+                            released: released as u64,
+                        },
+                    );
+                }
+            }
+            for (rtag, port) in continuation(tag, dests) {
+                tokens.push(Token::new(rtag, port, Value::Unit));
+            }
+        }
+    }
+    Ok(())
 }

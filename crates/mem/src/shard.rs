@@ -6,14 +6,13 @@
 //! analogue: each worker thread owns the shard of structures whose ids
 //! hash to it, so operations on different shards proceed with no shared
 //! state at all. A shard also maintains its *outstanding deferred read*
-//! count incrementally, so a coordinator can compute the machine-wide
-//! figure (for peak-deferred statistics and deadlock detection) by
-//! summing per-shard counters instead of walking every cell.
+//! count incrementally, so the machine-wide figure (for peak-deferred
+//! statistics and deadlock detection) is a sum of per-shard counters
+//! instead of a walk over every cell.
 //!
-//! Determinism note: operations on *distinct* structures commute, so a
-//! coordinator that routes each operation to its owning shard and keeps
-//! the per-shard operation streams in program order reproduces exactly
-//! the cell states and released-reader orders of a fully sequential run.
+//! Operations on *distinct* structures commute, so routing each
+//! operation to its owning shard loses nothing a sequential run would
+//! compute.
 
 use std::collections::HashMap;
 
@@ -65,7 +64,7 @@ impl<T, R> IStructureShard<T, R> {
     /// # Panics
     ///
     /// Panics if `id` is already present: allocation ids are unique per
-    /// run, so a collision is a coordinator bug, not a program error.
+    /// run, so a collision is an engine bug, not a program error.
     pub fn create(&mut self, id: u32, size: usize) {
         let prev = self.stores.insert(id, IStructure::new(size));
         assert!(prev.is_none(), "duplicate i-structure allocation id {id}");

@@ -4,19 +4,13 @@
 //! reports a single [`Outcome`]:
 //!
 //! - the sequential [`Emulator`] is the reference execution;
-//! - the parallel wave backend ([`RunMode::Deterministic`]) at 2, 4 and
-//!   8 worker threads must match it **bit-for-bit** over the whole
-//!   `Result<EmuResult, ExecError>` — outputs, counters, parallelism
-//!   profile and error details alike;
-//! - the relaxed backend ([`RunMode::Relaxed`]) at the same widths must
-//!   be *output-equal*: same program outputs (pointers compared by
-//!   length — relaxed structure ids are leased, not dense), same error
-//!   discriminant on failure, and the same confluent counters
-//!   (instructions, ALU ops, contexts, structure writes, total reads);
-//!   wave counts and occupancy peaks are schedule-dependent and exempt;
-//!
-//! Every arm pins its [`RunMode`] explicitly, so the oracle checks the
-//! same contracts regardless of the `TTDA_RELAXED` environment.
+//! - the relaxed backend ([`RunMode::Relaxed`]) at 2, 4 and 8 worker
+//!   threads must be [`confluent`] with it: same program outputs
+//!   (pointers compared by length — relaxed structure ids are leased,
+//!   not dense), same error discriminant on failure, and the same
+//!   confluent counters (instructions, ALU ops, contexts, structure
+//!   writes, total reads); wave counts and occupancy peaks are
+//!   schedule-dependent and exempt;
 //! - the [`TimedMachine`] (4 PEs, ideal interconnect) must produce the
 //!   same outputs, or fail with the same error *variant* (its error
 //!   details may legitimately differ — e.g. stranded-token counts are
@@ -38,7 +32,9 @@
 
 use std::collections::HashMap;
 
-use ttda_core::{Emulator, ExecError, Job, Program, RunMode, TimedConfig, TimedMachine, Value};
+use ttda_core::{
+    EmuResult, Emulator, ExecError, Job, Program, RunMode, TimedConfig, TimedMachine, Value,
+};
 use ttda_mem::{
     Addr, EnumIStructure, FullEmptyMemory, PackedIStructure, ReadOutcome, TryReadOutcome,
 };
@@ -51,7 +47,7 @@ use super::gen::{Family, Scenario, Spec, StoreOp, StoreSkewSpec};
 /// oracle reports it as [`Outcome::FuelExhausted`] rather than guessing.
 pub const DEFAULT_FUEL: u64 = 4_000_000;
 
-/// Worker-thread counts the parallel backends are checked at.
+/// Worker-thread counts the relaxed backend is checked at.
 pub const PAR_THREADS: [usize; 3] = [2, 4, 8];
 
 /// Output equality up to structure identity: the relaxed backend leases
@@ -64,6 +60,57 @@ pub fn outputs_agree(a: &HashMap<u32, Value>, b: &HashMap<u32, Value>) -> bool {
             (va, Some(vb)) => va == vb,
             (_, None) => false,
         })
+}
+
+/// The relaxed backend's contract, checked against a sequential run of
+/// the same program and inputs: both succeed with [agreeing
+/// outputs](outputs_agree) and equal confluent counters (instructions,
+/// ALU ops, contexts, structure writes, total structure reads), or both
+/// fail with the same [`ExecError`] variant. Waves, the profile, the
+/// occupancy peaks and the immediate/deferred read split depend on the
+/// schedule and are not compared.
+///
+/// # Errors
+///
+/// A description of the first disagreement found.
+pub fn confluent(
+    seq: &Result<EmuResult, ExecError>,
+    other: &Result<EmuResult, ExecError>,
+) -> Result<(), String> {
+    match (seq, other) {
+        (Ok(s), Ok(r)) => {
+            if !outputs_agree(&s.outputs, &r.outputs) {
+                return Err(format!(
+                    "outputs diverged:\n  seq:   {:?}\n  other: {:?}",
+                    s.outputs, r.outputs
+                ));
+            }
+            let counters = [
+                ("instructions", s.instructions, r.instructions),
+                ("alu_ops", s.alu_ops, r.alu_ops),
+                ("contexts", s.contexts as u64, r.contexts as u64),
+                ("istore_writes", s.istore_writes, r.istore_writes),
+                (
+                    "istore reads",
+                    s.istore_immediate + s.istore_deferred,
+                    r.istore_immediate + r.istore_deferred,
+                ),
+            ];
+            for (name, want, got) in counters {
+                if want != got {
+                    return Err(format!(
+                        "confluent counter {name} diverged: seq {want} vs other {got}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+        (Err(se), Err(re)) if std::mem::discriminant(se) == std::mem::discriminant(re) => Ok(()),
+        (Err(se), Err(re)) => Err(format!("error kind diverged: seq {se:?} vs other {re:?}")),
+        _ => Err(format!(
+            "success/failure diverged:\n  seq:   {seq:?}\n  other: {other:?}"
+        )),
+    }
 }
 
 /// What the oracle concluded about one scenario.
@@ -141,70 +188,15 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         return Outcome::FuelExhausted;
     }
 
-    // Parallel wave backend: full-result bit-identity at every width.
-    for threads in PAR_THREADS {
-        let par = Emulator::new(&program)
-            .with_fuel(DEFAULT_FUEL)
-            .with_threads(threads)
-            .with_mode(RunMode::Deterministic)
-            .submit(&jobs);
-        if par != seq {
-            return Outcome::Divergence(format!(
-                "par backend (threads={threads}) diverged from sequential:\n  seq: {seq:?}\n  par: {par:?}"
-            ));
-        }
-    }
-
-    // Relaxed backend: output equality plus the confluent counters —
-    // the exact contract `RunMode::Relaxed` documents.
+    // Relaxed backend: the confluence contract at every width.
     for threads in PAR_THREADS {
         let rel = Emulator::new(&program)
             .with_fuel(DEFAULT_FUEL)
             .with_threads(threads)
             .with_mode(RunMode::Relaxed)
             .submit(&jobs);
-        match (&seq, &rel) {
-            (Ok(s), Ok(r)) => {
-                if !outputs_agree(&s.outputs, &r.outputs) {
-                    return Outcome::Divergence(format!(
-                        "relaxed backend (threads={threads}) outputs diverged:\n  seq:     {:?}\n  relaxed: {:?}",
-                        s.outputs, r.outputs
-                    ));
-                }
-                let confluent = [
-                    ("instructions", s.instructions, r.instructions),
-                    ("alu_ops", s.alu_ops, r.alu_ops),
-                    ("contexts", s.contexts as u64, r.contexts as u64),
-                    ("istore_writes", s.istore_writes, r.istore_writes),
-                    (
-                        "istore reads",
-                        s.istore_immediate + s.istore_deferred,
-                        r.istore_immediate + r.istore_deferred,
-                    ),
-                ];
-                for (name, want, got) in confluent {
-                    if want != got {
-                        return Outcome::Divergence(format!(
-                            "relaxed backend (threads={threads}) broke confluent counter \
-                             {name}: seq {want} vs relaxed {got}"
-                        ));
-                    }
-                }
-            }
-            (Err(se), Err(re)) => {
-                if std::mem::discriminant(se) != std::mem::discriminant(re) {
-                    return Outcome::Divergence(format!(
-                        "relaxed backend (threads={threads}) error kind diverged: \
-                         seq {se:?} vs relaxed {re:?}"
-                    ));
-                }
-            }
-            _ => {
-                return Outcome::Divergence(format!(
-                    "relaxed backend (threads={threads}) success/failure diverged:\n  \
-                     seq:     {seq:?}\n  relaxed: {rel:?}"
-                ));
-            }
+        if let Err(d) = confluent(&seq, &rel) {
+            return Outcome::Divergence(format!("relaxed backend (threads={threads}) {d}"));
         }
     }
 

@@ -27,11 +27,15 @@
 //! # Determinism contract
 //!
 //! The schedule is a pure function of the seed and the tenant specs.
-//! Arrival ticks are integers, scheduler arithmetic is integral, and the
-//! burst costs come from `EmuResult`, which the parallel wave backend
-//! reproduces bit-identically at any thread count — so the whole
-//! [`ServiceSummary`] (admission log included) is identical at 1 and N
-//! worker threads, and byte-identical across runs with one seed.
+//! Arrival ticks are integers, scheduler arithmetic is integral, and a
+//! burst's cost is its instruction count, which every engine reports
+//! identically — so without a high-water mark the whole
+//! [`ServiceSummary`] except `peak_matching` (admission log, makespan,
+//! latencies) is identical at 1 and N worker threads, and the 1-thread
+//! run is byte-identical across runs with one seed. The high-water mark
+//! reads each burst's `peak_matching`, which the relaxed backend
+//! (N > 1) reports schedule-dependently, so a throttled run is
+//! reproducible on one thread only.
 
 use std::collections::VecDeque;
 
@@ -420,16 +424,17 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
+    fn confluent_across_thread_counts() {
         let (program, mains) = two_tenant_program(4, 3);
         let tenants = vec![
             spec("a", mains[0], 200.0, 40, 2),
             spec("b", mains[1], 500.0, 20, 1),
         ];
+        // No high-water mark: the throttle reads `peak_matching`, which
+        // the relaxed backend reports schedule-dependently.
         let cfg = ServiceConfig {
             seed: 7,
             burst_quota: 4,
-            high_water: 64,
             ..ServiceConfig::default()
         };
         let s1 = serve(&tenants, &cfg, &mut EmulatorRunner::new(&program)).expect("serves");
@@ -439,13 +444,14 @@ mod tests {
             &mut EmulatorRunner::new(&program).with_threads(4),
         )
         .expect("serves");
-        // Same admission order and identical stats at 1 vs 4 threads.
+        // Same admission order and identical stats at 1 vs 4 threads;
+        // only `peak_matching` may differ.
         assert_eq!(s1.admission_log, s4.admission_log);
         assert_eq!(s1.makespan, s4.makespan);
         assert_eq!(s1.instructions, s4.instructions);
         assert_eq!(s1.bursts, s4.bursts);
-        assert_eq!(s1.throttled, s4.throttled);
-        assert_eq!(s1.peak_matching, s4.peak_matching);
+        assert_eq!(s1.throttled, 0);
+        assert_eq!(s4.throttled, 0);
         assert_eq!(s1.latency.bins(), s4.latency.bins());
         for (a, b) in s1.tenants.iter().zip(&s4.tenants) {
             assert_eq!(a.latency.bins(), b.latency.bins());

@@ -6,10 +6,11 @@
 //! cargo run --example id_compiler                 # built-in demo
 //! cargo run --example id_compiler -- prog.id 7    # your program + int inputs
 //! cargo run --example id_compiler -- --dot        # emit dot to stdout
-//! cargo run --example id_compiler -- --threads 4  # parallel wave backend
+//! cargo run --example id_compiler -- --threads 4  # also check the parallel backend
 //! ```
 
 use ttda::core::{Emulator, Value};
+use ttda::workloads::fuzz::oracle::confluent;
 
 const DEMO: &str = r#"
 -- Per-element pipeline: fill a[i] = fib(i) with a recursive procedure,
@@ -73,7 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let r = Emulator::new(&program).with_threads(threads).run(&inputs)?;
+    // The wave profile comes from the sequential interpreter; `--threads`
+    // additionally checks the parallel backend against it.
+    let seq = Emulator::new(&program).run(&inputs);
+    if threads != 1 {
+        let par = Emulator::new(&program).with_threads(threads).run(&inputs);
+        confluent(&seq, &par)?;
+        eprintln!("parallel backend ({threads} threads, 0 = one per core): confluent");
+    }
+    let r = seq?;
     eprintln!("\nran in {} waves, {} firings", r.waves, r.instructions);
     eprintln!(
         "parallelism: mean {:.1}, peak {}; contexts allocated: {}",

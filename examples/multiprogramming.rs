@@ -7,6 +7,7 @@
 
 use ttda::core::{Emulator, Job, Program, TimedConfig, TimedMachine, Value};
 use ttda::sim::Cycle;
+use ttda::workloads::fuzz::oracle::confluent;
 use ttda::workloads::id;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,13 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The emulator's parallel backend multiprograms the same way: both
     // jobs flow through the sharded matching store at once, and the
-    // deterministic wave merge keeps the result independent of how many
-    // host threads executed it.
-    let seq = Emulator::new(&merged).submit(&jobs)?;
-    let par = Emulator::new(&merged).with_threads(4).submit(&jobs)?;
-    assert_eq!(seq, par);
+    // outputs and firing counts do not depend on how many host threads
+    // executed them.
+    let seq = Emulator::new(&merged).submit(&jobs);
+    confluent(&seq, &Emulator::new(&merged).with_threads(4).submit(&jobs))?;
+    let seq = seq?;
     println!(
-        "emulator, 1 vs 4 worker threads: bit-identical EmuResult ({} firings, {} waves).",
+        "emulator, 1 vs 4 worker threads: confluent results ({} firings; {} waves sequentially).",
         seq.instructions, seq.waves
     );
     Ok(())

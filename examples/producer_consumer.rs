@@ -10,6 +10,7 @@ use ttda::core::{Emulator, TimedConfig, TimedMachine, Value};
 use ttda::machines::Smp;
 use ttda::sim::Cycle;
 use ttda::vn::{Core, FlatMemory, MemRef, Reg, RunConfig};
+use ttda::workloads::fuzz::oracle::confluent;
 use ttda::workloads::vn::{producer_consumer, SyncStrategy};
 use ttda::workloads::{id, reference};
 
@@ -69,17 +70,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r.stats.istore_deferred + r.stats.istore_immediate,
     );
 
-    // The untimed emulator sees the same overlap, and its parallel wave
-    // backend — here four worker threads sharing the sharded matching
-    // store and I-structure shards — reports a bit-identical result.
-    let seq = Emulator::new(&program).run(&[Value::Int(total)])?;
+    // The untimed emulator sees the same overlap, and its parallel
+    // backend — here four worker threads, each owning a matching shard
+    // and an I-structure shard — computes the same outputs and counts.
+    let seq = Emulator::new(&program).run(&[Value::Int(total)]);
     let par = Emulator::new(&program)
         .with_threads(4)
-        .run(&[Value::Int(total)])?;
-    assert_eq!(seq, par);
+        .run(&[Value::Int(total)]);
+    confluent(&seq, &par)?;
     println!(
-        "\nemulator: peak deferred reads {} — identical result at 1 and 4 host threads.",
-        seq.peak_deferred
+        "\nemulator: peak deferred reads {} — confluent results at 1 and 4 host threads.",
+        seq?.peak_deferred
     );
     Ok(())
 }

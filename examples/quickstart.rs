@@ -7,6 +7,7 @@
 
 use ttda::core::{Emulator, Machine, TimedConfig, TimedMachine, Value};
 use ttda::sim::Cycle;
+use ttda::workloads::fuzz::oracle::confluent;
 
 /// Both engines implement [`Machine`], so one generic harness can
 /// configure, run and read back either of them.
@@ -40,10 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Engine 1: the fast emulator (Fig 3-1's emulation prong). Executes
     // the graph in enabled-instruction waves and reports the idealized
-    // parallelism profile. `with_threads(0)` asks for one worker per
-    // host core; the sharded backend merges every wave in canonical
-    // firing order, so the result is bit-identical to a one-thread run.
-    let r = Emulator::new(&program).with_threads(0).run(&inputs)?;
+    // parallelism profile. `with_threads(0)` runs its parallel backend
+    // with one worker per host core instead: no waves and no profile,
+    // but the same outputs and the same schedule-independent counters.
+    let seq = Emulator::new(&program).run(&inputs);
+    confluent(&seq, &Emulator::new(&program).with_threads(0).run(&inputs))?;
+    let r = seq?;
     println!("\n[emulator]  result          = {}", r.outputs[&0]);
     println!("[emulator]  instructions    = {}", r.instructions);
     println!("[emulator]  critical path   = {} waves", r.waves);

@@ -16,6 +16,7 @@ use ttda::core::{Emulator, TimedConfig, TimedMachine, Value};
 use ttda::net::Hypercube;
 use ttda::sim::Cycle;
 use ttda::trace::{shared, ChromeTraceSink, CountingSink, TraceEvent, TraceSink};
+use ttda::workloads::fuzz::oracle::confluent;
 
 /// One handle feeding two sinks: live counters plus the full event log.
 struct Tee {
@@ -79,17 +80,19 @@ fn main() {
     drop(s);
 
     // Tracing composes with the emulator's parallel backend: workers
-    // buffer their events locally and the coordinator replays them in
-    // canonical firing order, so the ledger balances exactly even with
-    // four threads racing through the waves.
+    // buffer their events locally and replay them into the sink when the
+    // run ends, so the ledger balances exactly even with four threads
+    // racing through the program. The run must also be confluent with a
+    // sequential one.
     let program = ttda::idc::compile(ttda::workloads::id::producer_consumer())
         .expect("producer_consumer compiles");
     let esink = shared(CountingSink::new());
-    Emulator::new(&program)
+    let par = Emulator::new(&program)
         .with_sink(esink.clone())
         .with_threads(4)
-        .run(&[Value::Int(16)])
-        .expect("run succeeds");
+        .run(&[Value::Int(16)]);
+    let seq = Emulator::new(&program).run(&[Value::Int(16)]);
+    confluent(&seq, &par).expect("parallel run is confluent with sequential");
     let s = esink.borrow();
     let counts = s.as_any().downcast_ref::<CountingSink>().expect("counting");
     println!(

@@ -10,22 +10,22 @@
 use ttda::core::{Emulator, Machine, MappingPolicy, TimedConfig, TimedMachine, Value};
 use ttda::net::{ClusterTree, Crossbar, Grid2d, Hypercube, Omega};
 use ttda::sim::Cycle;
+use ttda::workloads::fuzz::oracle::confluent;
 use ttda::workloads::{id, reference};
 
 fn emulate(src: &str, inputs: &[Value]) -> Value {
     let p = ttda::idc::compile(src).expect("compiles");
-    let seq = Emulator::new(&p).run(inputs).expect("emulates");
-    // Every emulated workload doubles as a determinism check on the
-    // parallel wave backend: worker count must be invisible in the full
-    // result, not just the answer.
+    let seq = Emulator::new(&p).run(inputs);
+    // Every emulated workload doubles as a confluence check on the
+    // parallel backend: worker count must be invisible in the outputs
+    // and in every schedule-independent counter.
     for threads in [2usize, 4] {
-        let par = Emulator::new(&p)
-            .with_threads(threads)
-            .run(inputs)
-            .expect("parallel backend runs");
-        assert_eq!(par, seq, "threads={threads} diverged from sequential");
+        let par = Emulator::new(&p).with_threads(threads).run(inputs);
+        if let Err(d) = confluent(&seq, &par) {
+            panic!("threads={threads} diverged from sequential: {d}");
+        }
     }
-    seq.outputs[&0]
+    seq.expect("emulates").outputs[&0]
 }
 
 #[test]

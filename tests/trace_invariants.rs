@@ -11,6 +11,7 @@ use ttda::core::{Emulator, TimedConfig, TimedMachine, Value};
 use ttda::net::{Fabric, FabricConfig, Hypercube, NodeId, Topology};
 use ttda::sim::{Cycle, SimRng};
 use ttda::trace::{shared, CountingSink};
+use ttda::workloads::fuzz::oracle::confluent;
 
 fn counting(sink: &ttda::trace::SharedSink) -> std::cell::Ref<'_, CountingSink> {
     std::cell::Ref::map(sink.borrow(), |s| {
@@ -54,24 +55,24 @@ fn producer_consumer_conserves_tokens_on_the_emulator() {
 
 #[test]
 fn parallel_backend_preserves_the_trace_ledger() {
-    // Worker threads buffer their events locally and the coordinator
-    // replays them in canonical firing order, so a sink attached to the
-    // parallel backend must see the *same* event stream as the
-    // sequential emulator — same ledger, same counters, zero reordering.
+    // Worker threads buffer their events locally and replay them into
+    // the sink when the run ends. The order differs from a sequential
+    // run, but the ledger must not: same tokens emitted and consumed,
+    // same firings, same structure traffic.
     let p = ttda::idc::compile(ttda::workloads::id::producer_consumer()).unwrap();
     let seq_sink = shared(CountingSink::new());
     let seq = Emulator::new(&p)
         .with_sink(seq_sink.clone())
-        .run(&[Value::Int(24)])
-        .expect("sequential run");
+        .run(&[Value::Int(24)]);
     for threads in [2usize, 4] {
         let par_sink = shared(CountingSink::new());
         let par = Emulator::new(&p)
             .with_sink(par_sink.clone())
             .with_threads(threads)
-            .run(&[Value::Int(24)])
-            .expect("parallel run");
-        assert_eq!(par, seq, "threads={threads}: result diverged");
+            .run(&[Value::Int(24)]);
+        if let Err(d) = confluent(&seq, &par) {
+            panic!("threads={threads}: result diverged: {d}");
+        }
         let c = counting(&par_sink);
         assert!(c.token_conservation_holds(), "threads={threads}");
         assert!(c.quiescent(), "threads={threads}");
