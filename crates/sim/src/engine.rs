@@ -79,15 +79,10 @@ impl<E> Engine<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is earlier than the current time — scheduling into
-    /// the past is always a model bug and silently reordering it would
-    /// corrupt causality.
+    /// Panics if `at` is earlier than the current time, as
+    /// [`EventQueue::push`] does: the current time is the queue's last
+    /// popped time.
     pub fn schedule(&mut self, at: Cycle, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at}, now={}",
-            self.now
-        );
         self.queue.push(at, event);
     }
 

@@ -1,9 +1,12 @@
 //! Property tests for the simulation kernel, driven by the in-tree
 //! `check` harness.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ttda_sim::check;
 use ttda_sim::stats::{Histogram, Series};
-use ttda_sim::{Cycle, Engine, SimRng};
+use ttda_sim::{Cycle, Engine, EventQueue, SimRng};
 
 #[test]
 fn histogram_totals_match_inputs() {
@@ -83,6 +86,74 @@ fn engine_time_is_monotone() {
         });
         assert_eq!(seen, delays.len());
         assert_eq!(e.dispatched(), delays.len() as u64);
+    });
+}
+
+#[test]
+fn event_queue_matches_a_reference_heap() {
+    // The queue's ring covers 1024 cycles. Delays are 0, inside the
+    // window, across its edge, or ten and more windows out, so pushes
+    // overflow, migrate, wrap the ring and jump over it when it is empty.
+    // One push in four reuses a pending time, so equal-time ties fall on
+    // both sides of the window edge.
+    check::forall("event queue matches a reference heap", |rng| {
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut last_pop = Cycle::ZERO;
+        let mut times: Vec<Cycle> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..800) {
+            match rng.gen_range(0u32..100) {
+                0..=54 => {
+                    let at = match rng.gen_range(0u32..4) {
+                        0 if !times.is_empty() => {
+                            let i = rng.gen_range(0..times.len());
+                            times[i].max(last_pop)
+                        }
+                        0 => last_pop,
+                        1 => last_pop + Cycle(rng.gen_range(0u64..1024)),
+                        2 => last_pop + Cycle(rng.gen_range(512u64..1536)),
+                        _ => last_pop + Cycle(rng.gen_range(10_240u64..40_960)),
+                    };
+                    q.push(at, seq);
+                    model.push(Reverse((at, seq)));
+                    times.push(at);
+                    seq += 1;
+                }
+                55..=84 => {
+                    let want = model.pop().map(|Reverse(e)| e);
+                    assert_eq!(q.pop(), want);
+                    if let Some((t, _)) = want {
+                        last_pop = t;
+                    }
+                }
+                85..=98 => {
+                    let now = last_pop + Cycle(rng.gen_range(0u64..2048));
+                    let want = match model.peek() {
+                        Some(&Reverse((t, _))) if t <= now => model.pop().map(|Reverse(e)| e),
+                        _ => None,
+                    };
+                    assert_eq!(q.pop_due(now), want);
+                    if let Some((t, _)) = want {
+                        last_pop = t;
+                    }
+                }
+                _ => {
+                    // A cleared queue starts again from time zero.
+                    q.clear();
+                    model.clear();
+                    last_pop = Cycle::ZERO;
+                    times.clear();
+                }
+            }
+            assert_eq!(q.peek_time(), model.peek().map(|&Reverse((t, _))| t));
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+        }
+        while let Some(Reverse(want)) = model.pop() {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert_eq!(q.pop(), None);
     });
 }
 

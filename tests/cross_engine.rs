@@ -7,8 +7,9 @@
 //! divergence in matching, tag manipulation, I-structure deferral or
 //! routing shows up as a result mismatch here.
 
-use ttda::core::{Emulator, Machine, MappingPolicy, TimedConfig, TimedMachine, Value};
-use ttda::net::{ClusterTree, Crossbar, Grid2d, Hypercube, Omega};
+use ttda::core::opt::{annotate_criticality, optimize_at, OptLevel};
+use ttda::core::{Emulator, Machine, MappingPolicy, SchedPolicy, TimedConfig, TimedMachine, Value};
+use ttda::net::{ClusterTree, Crossbar, FabricConfig, Grid2d, Hypercube, Omega};
 use ttda::sim::Cycle;
 use ttda::workloads::fuzz::oracle::confluent;
 use ttda::workloads::{id, reference};
@@ -157,6 +158,45 @@ fn deterministic_across_repeat_runs() {
     }
     assert_eq!(cycles[0], cycles[1]);
     assert_eq!(cycles[1], cycles[2]);
+}
+
+#[test]
+fn timed_event_order_is_pinned_on_a_bit_serial_cube() {
+    // The benchmark's timed machine: O2 with criticality annotation, a
+    // 16-PE hypercube, bit-serial links, FIFO PE queues. Any change to
+    // the order in which the event queue releases same-cycle events moves
+    // at least one of these counts.
+    let cfg = TimedConfig {
+        mapping: MappingPolicy::ByIteration,
+        sched: SchedPolicy::Fifo,
+        fabric: FabricConfig::bit_serial_4mbs(),
+        ..TimedConfig::default()
+    };
+    let cases = [
+        (id::wavefront(), 24, (16_930, 26_289, 7_763, 7_763)),
+        (id::fib(), 16, (7_041, 25_544, 6_016, 6_016)),
+        (id::matmul(), 8, (20_952, 32_978, 9_713, 9_713)),
+    ];
+    for (src, n, want) in cases {
+        let p = ttda::idc::compile(src).expect("compiles");
+        let (mut p, _) = optimize_at(&p, OptLevel::O2);
+        annotate_criticality(&mut p);
+        let cube = Hypercube::new(4).expect("dimension 4 is valid");
+        let s = TimedMachine::new(p, cube, cfg)
+            .run(&[Value::Int(n)])
+            .expect("runs")
+            .stats;
+        let got = (
+            s.cycles.as_u64(),
+            s.tokens_delivered,
+            s.tokens_remote,
+            s.net_packets,
+        );
+        assert_eq!(
+            got, want,
+            "n={n}: (cycles, tokens_delivered, tokens_remote, net_packets)"
+        );
+    }
 }
 
 #[test]
