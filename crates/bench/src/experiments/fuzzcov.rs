@@ -2,6 +2,7 @@
 
 use std::time::Instant;
 
+use ttda_core::SchedPolicy;
 use ttda_sim::table::Table;
 use ttda_workloads::fuzz::{oracle, Family};
 
@@ -53,7 +54,7 @@ pub fn e19() -> String {
         let (mut agree, mut agree_err, mut fuel, mut diverge) = (0u64, 0u64, 0u64, 0u64);
         for seed in 0..SEEDS_PER_FAMILY {
             total += 1;
-            match oracle::check_seed(family, seed).1 {
+            match oracle::check_seed(family, seed, SchedPolicy::Fifo).1 {
                 oracle::Outcome::Agree => agree += 1,
                 oracle::Outcome::AgreeError(_) => agree_err += 1,
                 oracle::Outcome::FuelExhausted => fuel += 1,

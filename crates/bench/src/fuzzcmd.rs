@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use ttda_core::SchedPolicy;
 use ttda_sim::check;
 use ttda_workloads::fuzz::{oracle, Family, Scenario};
 
@@ -169,7 +170,7 @@ pub fn fuzz_main(args: &[String]) -> ExitCode {
         }
         let family = parsed.families[(k % nfam) as usize];
         let seed = parsed.seed + k / nfam;
-        let (sc, outcome) = oracle::check_seed(family, seed);
+        let (sc, outcome) = oracle::check_seed(family, seed, SchedPolicy::Fifo);
         checked += 1;
         match &outcome {
             oracle::Outcome::Agree => agreed += 1,
@@ -179,7 +180,7 @@ pub fn fuzz_main(args: &[String]) -> ExitCode {
                 divergences += 1;
                 eprintln!("fuzz: DIVERGENCE at {family} seed {seed}; minimizing…");
                 let (min, steps, min_outcome) =
-                    oracle::minimize_scenario(&sc, check::SHRINK_BUDGET);
+                    oracle::minimize_scenario(&sc, SchedPolicy::Fifo, check::SHRINK_BUDGET);
                 let artifact = render_artifact(&sc, &min_outcome, &min, steps);
                 eprintln!("{artifact}");
                 if let Some(path) = &parsed.out {

@@ -11,17 +11,16 @@
 
 use std::collections::HashMap;
 
-use ttda_mem::{Addr, IStructure, Presence, ReadOutcome};
 use ttda_sim::Cycle;
-use ttda_trace::{PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{continuation, execute, StructAction};
 use crate::graph::Program;
-use crate::matching::{MatchingStore, Operands};
-use crate::sched::{env_sched, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
-use crate::value::{StructRef, Value};
+use crate::matching::MatchingStore;
+use crate::pe::{seed, Emit, IUnit, Pe, Route, StructOp};
+use crate::sched::{CritMap, SchedPolicy};
+use crate::tag::{ActivityName, Token};
+use crate::value::Value;
 use crate::wave::Wave;
 use crate::ExecError;
 
@@ -94,25 +93,17 @@ pub enum RunMode {
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Emulator<'p> {
     program: &'p Program,
-    ctx: ContextManager,
+    /// The one PE: its pipeline, context table and counters.
+    pe: Pe<'p, ContextManager>,
     waiting: MatchingStore,
-    structures: Vec<IStructure<Value, (ActivityName, Port)>>,
-    outputs: HashMap<u32, Value>,
+    /// The structure table, as one I-structure unit.
+    unit: IUnit,
     fuel: u64,
     loop_bound: Option<u32>,
     threads: usize,
     mode: Option<RunMode>,
     sched: SchedPolicy,
-    instructions: u64,
-    alu_ops: u64,
     peak_matching: usize,
-    istore_immediate: u64,
-    istore_deferred: u64,
-    istore_writes: u64,
-    /// The firing path's token buffer: [`execute`] pushes each firing's
-    /// `d=0` tokens here and [`Emulator::fire`] drains them into the next
-    /// wave, so one buffer serves the whole run.
-    emitted: Vec<Token>,
     sink: Option<SharedSink>,
     /// Trace timestamp: the current wave index (idealized time).
     now: Cycle,
@@ -121,9 +112,9 @@ pub struct Emulator<'p> {
 impl std::fmt::Debug for Emulator<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Emulator")
-            .field("instructions", &self.instructions)
+            .field("instructions", &self.pe.fired)
             .field("waiting", &self.waiting.len())
-            .field("structures", &self.structures.len())
+            .field("structures", &self.unit.len())
             .field("loop_bound", &self.loop_bound)
             .field("traced", &self.sink.is_some())
             .finish_non_exhaustive()
@@ -137,22 +128,15 @@ impl<'p> Emulator<'p> {
     pub fn new(program: &'p Program) -> Self {
         Emulator {
             program,
-            ctx: ContextManager::new(program.main),
+            pe: Pe::new(program, ContextManager::new(program.main)),
             waiting: MatchingStore::new(),
-            structures: Vec::new(),
-            outputs: HashMap::new(),
+            unit: IUnit::whole(),
             fuel: 100_000_000,
             loop_bound: None,
             threads: 1,
             mode: None,
-            sched: env_sched(),
-            instructions: 0,
-            alu_ops: 0,
+            sched: SchedPolicy::Fifo,
             peak_matching: 0,
-            istore_immediate: 0,
-            istore_deferred: 0,
-            istore_writes: 0,
-            emitted: Vec::new(),
             sink: None,
             now: Cycle::ZERO,
         }
@@ -206,9 +190,7 @@ impl<'p> Emulator<'p> {
     /// Selects the token scheduling policy (see [`SchedPolicy`]):
     /// [`SchedPolicy::Fifo`] (the default) fires each wave in arrival
     /// order, [`SchedPolicy::Crit`] fires greatest remaining
-    /// critical-path height first, arrival order on ties. The default
-    /// can also be set process-wide with `TTDA_SCHED=fifo|crit`, read at
-    /// [`Emulator::new`].
+    /// critical-path height first, arrival order on ties.
     ///
     /// Scheduling never changes program outputs (dataflow confluence).
     /// What a policy *does* change is intra-wave firing order, which the
@@ -237,13 +219,6 @@ impl<'p> Emulator<'p> {
     pub fn with_sink(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    #[inline]
-    fn trace(&self, ev: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(self.now, &ev);
-        }
     }
 
     /// Enables **k-bounded loops**: at most `k` consecutive iterations of
@@ -319,35 +294,13 @@ impl<'p> Emulator<'p> {
         // Built once per run; FIFO never consults it.
         let crit = (self.sched == SchedPolicy::Crit).then(|| CritMap::of(self.program));
         let mut wave = Wave::new();
-        for job in jobs {
-            let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = self
-                .program
-                .block(*block_id)
-                .ok_or_else(|| ExecError::BadTarget {
-                    activity: block_id.to_string(),
-                })?;
-            if inputs.len() != block.params.len() {
-                return Err(ExecError::InputArity {
-                    expected: block.params.len(),
-                    got: inputs.len(),
-                });
-            }
-            let root = self.ctx.new_root(*block_id);
-            for (k, v) in inputs.iter().enumerate() {
-                wave.push(
-                    ActivityName {
-                        u: root,
-                        c: *block_id,
-                        s: block.params[k],
-                        i: Iter::ONE,
-                    },
-                    Port(0),
-                    *v,
-                );
-                self.trace(TraceEvent::TokenEmit { pe: 0 });
-            }
-        }
+        let mut out = WaveOut {
+            wave: &mut wave,
+            sink: self.sink.as_ref(),
+            now: self.now,
+        };
+        let ctx = &mut self.pe.ctx;
+        seed(self.program, jobs, |b| ctx.new_root(b), |t| out.token(t))?;
 
         let mut profile = Vec::new();
         let mut held: Vec<Token> = Vec::new();
@@ -378,21 +331,10 @@ impl<'p> Emulator<'p> {
                 self.waiting.for_each_key(|tag| note(&tag));
                 // Deferred readers are live too: their iteration has not
                 // finished until the datum arrives.
-                for st in &self.structures {
-                    st.for_each_deferred(|(tag, _)| note(tag));
-                }
+                self.unit.for_each_deferred(|(tag, _)| note(tag));
                 let eligible = |tag: &ActivityName| tag.i.0 <= oldest[&tag.u].saturating_add(k);
                 wave.retain_or_spill(&eligible, &mut held);
-                let mut released: Vec<Token> = Vec::new();
-                held.retain(|t| {
-                    if eligible(&t.tag) {
-                        released.push(t.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                wave.extend_tokens(released);
+                release(&mut held, &mut wave, eligible);
                 if wave.is_empty() {
                     if held.is_empty() {
                         break;
@@ -400,16 +342,7 @@ impl<'p> Emulator<'p> {
                     // Nothing eligible: release the oldest held iteration
                     // to guarantee progress.
                     let min_i = held.iter().map(|t| t.tag.i.0).min().expect("nonempty");
-                    let mut released: Vec<Token> = Vec::new();
-                    held.retain(|t| {
-                        if t.tag.i.0 == min_i {
-                            released.push(t.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    wave.extend_tokens(released);
+                    release(&mut held, &mut wave, |tag| tag.i.0 == min_i);
                 }
             }
 
@@ -423,20 +356,31 @@ impl<'p> Emulator<'p> {
             }
 
             let mut fired = 0usize;
+            let mut route = EmuRoute {
+                program: self.program,
+                out: WaveOut {
+                    wave: &mut next,
+                    sink: self.sink.as_ref(),
+                    now: self.now,
+                },
+                unit: &mut self.unit,
+            };
             for i in 0..wave.len() {
-                if let Some(operands) = self.absorb(wave.token(i))? {
+                let fires = self
+                    .pe
+                    .step(0, &mut self.waiting, wave.token(i), &mut route)?;
+                self.peak_matching = self.peak_matching.max(self.waiting.len());
+                if fires {
                     fired += 1;
-                    self.fire(operands.0, operands.1, &mut next)?;
-                    if self.instructions > fuel {
+                    if self.pe.fired > fuel {
                         return Err(ExecError::OutOfFuel);
                     }
                 }
             }
-            self.peak_matching = self.peak_matching.max(self.waiting.len());
-            peak_deferred = peak_deferred.max(self.outstanding_deferred());
+            peak_deferred = peak_deferred.max(route.unit.deferred_outstanding());
             if fired > 0 {
                 profile.push(fired);
-                self.trace(TraceEvent::WaveEnd {
+                route.out.trace(TraceEvent::WaveEnd {
                     fired: fired as u64,
                 });
                 self.now = self.now.saturating_add(Cycle(1));
@@ -445,207 +389,89 @@ impl<'p> Emulator<'p> {
             next.clear();
         }
 
-        let stranded = self.waiting.len() + self.stranded_readers();
+        let stranded = self.waiting.len() + self.unit.deferred_outstanding();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
         // Clean quiescence: the wave and holding pen are both empty, so
         // nothing is in flight.
-        self.trace(TraceEvent::Halt { in_flight: 0 });
+        if let Some(s) = &self.sink {
+            s.borrow_mut()
+                .record(self.now, &TraceEvent::Halt { in_flight: 0 });
+        }
 
         Ok(EmuResult {
-            outputs: self.outputs.clone(),
-            instructions: self.instructions,
-            alu_ops: self.alu_ops,
+            outputs: self.pe.outputs.clone(),
+            instructions: self.pe.fired,
+            alu_ops: self.pe.alu_ops,
             waves: profile.len() as u64,
             profile,
-            contexts: self.ctx.allocated(),
+            contexts: self.pe.ctx.allocated(),
             peak_matching: self.peak_matching,
             peak_deferred,
-            istore_immediate: self.istore_immediate,
-            istore_deferred: self.istore_deferred,
-            istore_writes: self.istore_writes,
+            istore_immediate: self.unit.counts.immediate,
+            istore_deferred: self.unit.counts.deferred,
+            istore_writes: self.unit.counts.writes,
         })
     }
+}
 
-    /// Deferred readers currently parked across every structure.
-    /// Sampled once per wave, so it uses the structures' O(1) running
-    /// counters rather than scanning every cell.
-    fn outstanding_deferred(&self) -> usize {
-        self.stranded_readers()
+/// Moves the held tokens whose tag satisfies `pred` to the end of
+/// `wave`, in holding order (k-bounded loops).
+fn release(held: &mut Vec<Token>, wave: &mut Wave, pred: impl Fn(&ActivityName) -> bool) {
+    let (go, stay): (Vec<Token>, Vec<Token>) =
+        std::mem::take(held).into_iter().partition(|t| pred(&t.tag));
+    *held = stay;
+    wave.extend_tokens(go);
+}
+
+/// The emulator's output section: produced tokens join the next wave.
+struct WaveOut<'a> {
+    wave: &'a mut Wave,
+    sink: Option<&'a SharedSink>,
+    now: Cycle,
+}
+
+impl Emit for WaveOut<'_> {
+    fn traced(&self) -> bool {
+        self.sink.is_some()
     }
 
-    fn stranded_readers(&self) -> usize {
-        self.structures
-            .iter()
-            .map(|s| s.deferred_outstanding())
-            .sum()
+    fn trace(&mut self, ev: TraceEvent) {
+        if let Some(s) = self.sink {
+            s.borrow_mut().record(self.now, &ev);
+        }
     }
 
-    /// The waiting–matching section: inserts a token; returns the full
-    /// operand set when the instruction becomes enabled.
-    fn absorb(&mut self, token: Token) -> Result<Option<(ActivityName, Operands)>, ExecError> {
-        let r = crate::exec::absorb(self.program, &mut self.waiting, token)?;
-        self.peak_matching = self.peak_matching.max(self.waiting.len());
-        if self.sink.is_some() {
-            self.trace(TraceEvent::TokenConsume { pe: 0 });
-            if r.is_none() {
-                self.trace(TraceEvent::MatchWait {
-                    pe: 0,
-                    occupancy: self.waiting.len() as u64,
-                });
-            }
-        }
-        Ok(r)
+    fn token(&mut self, t: Token) {
+        self.trace(TraceEvent::TokenEmit { pe: 0 });
+        self.wave.push_token(t);
+    }
+}
+
+/// The emulator's route: structures live in one unit, and a structure
+/// op applies there at once.
+struct EmuRoute<'a> {
+    program: &'a Program,
+    out: WaveOut<'a>,
+    unit: &'a mut IUnit,
+}
+
+impl<'a> Route for EmuRoute<'a> {
+    type Out = WaveOut<'a>;
+
+    fn out(&mut self) -> &mut WaveOut<'a> {
+        &mut self.out
     }
 
-    /// The instruction-fetch + ALU + output sections: executes one
-    /// enabled instruction via the shared semantics in [`crate::exec`],
-    /// applying I-structure actions inline.
-    fn fire(&mut self, tag: ActivityName, ops: Operands, out: &mut Wave) -> Result<(), ExecError> {
-        // Borrowed from the program, not from `self`, so the firing can
-        // update the emulator's state while it reads the instruction.
-        let program: &'p Program = self.program;
-        let instr = program
-            .block(tag.c)
-            .and_then(|b| b.instr(tag.s))
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: tag.to_string(),
-            })?;
-        self.instructions += 1;
-        let eff = execute(program, &mut self.ctx, tag, instr, &ops, &mut self.emitted)?;
-        if eff.is_alu {
-            self.alu_ops += 1;
-        }
-        // Clone the sink handle so istore tracing below can run while the
-        // store is mutably borrowed. `None.clone()` is free, keeping the
-        // disabled path at one branch.
-        let sink = self.sink.clone();
-        let now = self.now;
-        let trace = |ev: &TraceEvent| {
-            if let Some(s) = &sink {
-                s.borrow_mut().record(now, ev);
-            }
-        };
-        let out_before = out.len();
-        trace(&TraceEvent::MatchFire {
-            pe: 0,
-            alu: eff.is_alu,
-            busy: 0,
-        });
-        out.extend_tokens(self.emitted.drain(..));
-        if let Some((slot, v)) = eff.output {
-            self.outputs.insert(slot, v);
-        }
-        match eff.action {
-            None => {}
-            Some(StructAction::Alloc { len }) => {
-                let id = self.structures.len() as u32;
-                self.structures.push(IStructure::new(len));
-                let p = Value::Ptr(StructRef {
-                    id,
-                    len: len as u32,
-                });
-                for (rtag, port) in continuation(tag, &instr.dests) {
-                    out.push(rtag, port, p);
-                }
-            }
-            Some(StructAction::Fetch { ptr, idx }) => {
-                let mut immediate = 0u64;
-                let mut deferred = 0u64;
-                let traced = sink.is_some();
-                let store = self.store_mut(tag, ptr)?;
-                for (rtag, port) in continuation(tag, &instr.dests) {
-                    let before = if traced {
-                        store.presence(Addr(idx))?
-                    } else {
-                        Presence::Empty
-                    };
-                    match store.read(Addr(idx), (rtag, port))? {
-                        ReadOutcome::Value(v) => {
-                            immediate += 1;
-                            out.push(rtag, port, v);
-                            trace(&TraceEvent::IStoreRead {
-                                module: ptr.id,
-                                immediate: true,
-                            });
-                        }
-                        ReadOutcome::Deferred => {
-                            deferred += 1;
-                            if traced {
-                                trace(&TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: false,
-                                });
-                                trace(&TraceEvent::DeferEnqueue {
-                                    module: ptr.id,
-                                    depth: store.deferred_count(Addr(idx))? as u64,
-                                });
-                                if before != Presence::Deferred {
-                                    trace(&TraceEvent::Presence {
-                                        module: ptr.id,
-                                        from: before.as_trace(),
-                                        to: PresenceState::Deferred,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                self.istore_immediate += immediate;
-                self.istore_deferred += deferred;
-            }
-            Some(StructAction::Store { ptr, idx, value }) => {
-                let traced = sink.is_some();
-                let store = self.store_mut(tag, ptr)?;
-                let before = if traced {
-                    store.presence(Addr(idx))?
-                } else {
-                    Presence::Empty
-                };
-                // Released readers stream straight into the output wave
-                // (the packed store's zero-allocation release path).
-                let released = store.write_with(Addr(idx), value, |(rtag, port)| {
-                    out.push(rtag, port, value);
-                })?;
-                self.istore_writes += 1;
-                if traced {
-                    trace(&TraceEvent::IStoreWrite { module: ptr.id });
-                    trace(&TraceEvent::Presence {
-                        module: ptr.id,
-                        from: before.as_trace(),
-                        to: PresenceState::Present,
-                    });
-                    if released > 0 {
-                        trace(&TraceEvent::DeferRelease {
-                            module: ptr.id,
-                            released: released as u64,
-                        });
-                    }
-                }
-                for (rtag, port) in continuation(tag, &instr.dests) {
-                    out.push(rtag, port, Value::Unit);
-                }
-            }
-        }
-        if sink.is_some() {
-            for _ in out_before..out.len() {
-                trace(&TraceEvent::TokenEmit { pe: 0 });
-            }
-        }
-        Ok(())
+    fn alloc(&mut self, len: usize) -> u32 {
+        let id = self.unit.len() as u32;
+        self.unit.create(id, len);
+        id
     }
 
-    fn store_mut(
-        &mut self,
-        tag: ActivityName,
-        ptr: StructRef,
-    ) -> Result<&mut IStructure<Value, (ActivityName, Port)>, ExecError> {
-        self.structures
-            .get_mut(ptr.id as usize)
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: format!("{tag} (dangling {ptr:?})"),
-            })
+    fn op(&mut self, op: StructOp) -> Result<(), ExecError> {
+        self.unit.apply(self.program, op, &mut self.out)
     }
 }
 
@@ -935,23 +761,6 @@ mod tests {
         let p = g.finish_program().unwrap();
         let err = Emulator::new(&p).run(&[Value::Int(1)]).unwrap_err();
         assert_eq!(err, ExecError::Deadlock { stranded: 1 });
-    }
-
-    #[test]
-    fn input_arity_checked() {
-        let mut g = GraphBuilder::new("t");
-        let x = g.param();
-        let out = g.output(0);
-        g.wire(x, out, 0);
-        let p = g.finish_program().unwrap();
-        let err = Emulator::new(&p).run(&[]).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::InputArity {
-                expected: 1,
-                got: 0
-            }
-        );
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Shared operational semantics for both execution engines.
+//! Operational semantics of one instruction, shared by every engine.
 //!
 //! [`execute`] implements the instruction-fetch + ALU + output-section
 //! behaviour of one enabled instruction, *independent of timing*: it
 //! pushes the tokens to emit onto a caller-owned buffer and returns any
-//! I-structure action to perform. The [`Emulator`](crate::Emulator)
-//! applies structure actions inline; the
-//! [`TimedMachine`](crate::TimedMachine) turns them into `d=1` packets
-//! that travel the network to I-structure storage. Keeping one copy of
-//! the semantics guarantees the two engines can never disagree on *what*
-//! a program computes, only on *when*.
+//! I-structure action to perform. The firing core ([`crate::pe`]) runs
+//! it for every engine and hands the action to the engine's route.
+//! Keeping one copy of the semantics guarantees the engines can never
+//! disagree on *what* a program computes, only on *when*.
 
 use crate::context::{ContextKind, ContextOps};
 use crate::graph::{Dest, DestBranch, Instruction, OpCode, Program};
@@ -21,8 +19,8 @@ use crate::ExecError;
 /// continuation — who receives the pointer, the element or the store's
 /// completion signal — is the issuing instruction's unconditional
 /// destinations retagged by the issuing firing (see [`continuation`]),
-/// so the action itself carries no heap data and every engine expands
-/// the destinations where it applies the action.
+/// so the action itself carries no heap data; the PE or I-structure
+/// unit that completes the action expands the destinations.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum StructAction {
     /// Allocate `len` cells; send the pointer to the continuation.
@@ -62,39 +60,25 @@ pub(crate) struct Effect {
     pub is_alu: bool,
 }
 
-fn retag(tag: ActivityName, dests: &[Dest], value: Value, out: &mut Vec<Token>) {
-    for d in dests {
-        if d.when == DestBranch::Always {
-            out.push(Token::new(
-                ActivityName { s: d.instr, ..tag },
-                d.port,
-                value,
-            ));
-        }
-    }
-}
-
-fn retag_branch(
+/// Sends `value` to every destination taken on branch `when`.
+fn retag_on(
+    when: DestBranch,
     tag: ActivityName,
     dests: &[Dest],
-    take_true: bool,
     value: Value,
     out: &mut Vec<Token>,
 ) {
-    let want = if take_true {
-        DestBranch::IfTrue
-    } else {
-        DestBranch::IfFalse
-    };
-    for d in dests {
-        if d.when == want {
-            out.push(Token::new(
-                ActivityName { s: d.instr, ..tag },
-                d.port,
-                value,
-            ));
-        }
+    for d in dests.iter().filter(|d| d.when == when) {
+        out.push(Token::new(
+            ActivityName { s: d.instr, ..tag },
+            d.port,
+            value,
+        ));
     }
+}
+
+fn retag(tag: ActivityName, dests: &[Dest], value: Value, out: &mut Vec<Token>) {
+    retag_on(DestBranch::Always, tag, dests, value, out);
 }
 
 /// The continuation of a structure action issued by the firing `tag` of
@@ -126,15 +110,15 @@ fn nonneg_index(tag: ActivityName, idx: i64) -> Result<usize, ExecError> {
     })
 }
 
-/// The waiting–matching section, shared by both engines: inserts a token
-/// into `waiting`; returns the complete operand set when the target
-/// instruction becomes enabled. Tokens for `nt = 1` instructions bypass
-/// the store, as in Fig 2-3.
-pub(crate) fn absorb(
-    program: &Program,
+/// The waiting–matching section: inserts a token into `waiting`; returns
+/// the target instruction and its complete operand set when it becomes
+/// enabled. Tokens for `nt = 1` instructions bypass the store, as in
+/// Fig 2-3.
+pub(crate) fn absorb<'p>(
+    program: &'p Program,
     waiting: &mut MatchingStore,
     token: Token,
-) -> Result<Option<(ActivityName, Operands)>, ExecError> {
+) -> Result<Option<(ActivityName, &'p Instruction, Operands)>, ExecError> {
     let instr = program
         .block(token.tag.c)
         .and_then(|b| b.instr(token.tag.s))
@@ -149,12 +133,12 @@ pub(crate) fn absorb(
             Some((_, lv)) => lv,
             None => token.value,
         };
-        return Ok(Some((token.tag, Operands::one(v))));
+        return Ok(Some((token.tag, instr, Operands::one(v))));
     }
 
     match waiting.absorb(token.tag, arity, literal, token.port, token.value) {
         Ok(Absorbed::Parked) => Ok(None),
-        Ok(Absorbed::Enabled(operands)) => Ok(Some((token.tag, operands))),
+        Ok(Absorbed::Enabled(operands)) => Ok(Some((token.tag, instr, operands))),
         Err(PortOutOfRange) => Err(ExecError::BadTarget {
             activity: token.tag.to_string(),
         }),
@@ -168,11 +152,9 @@ pub(crate) fn absorb(
 /// steady state (DESIGN.md §16).
 ///
 /// Only `D` and `Apply` *mutate* the context table (entering a loop or
-/// a call); everything else at most reads it, via [`execute_ro`]. On
-/// the relaxed backend workers execute the mutating opcodes too,
-/// drawing ids from leased blocks of a
-/// [`crate::context::SharedContexts`] table — context id *values* then
-/// differ from a sequential run, but they never escape an
+/// a call). On the relaxed backend they draw ids from leased blocks of
+/// a [`crate::context::SharedContexts`] table — context id *values*
+/// then differ from a sequential run, but they never escape an
 /// [`EmuResult`](crate::EmuResult) (`contexts` is the semantic
 /// allocation count, kept exact by the shared loop memo).
 pub(crate) fn execute<C: ContextOps>(
@@ -183,6 +165,10 @@ pub(crate) fn execute<C: ContextOps>(
     ops: &[Value],
     out: &mut Vec<Token>,
 ) -> Result<Effect, ExecError> {
+    let mut eff = Effect {
+        is_alu: instr.op.is_alu_work(),
+        ..Effect::default()
+    };
     match &instr.op {
         OpCode::D { loop_id } => {
             let inner = ctx.enter_loop(tag.u, tag.i, *loop_id, tag.c);
@@ -211,32 +197,6 @@ pub(crate) fn execute<C: ContextOps>(
                 ));
             }
         }
-        _ => return execute_ro(program, ctx, tag, instr, ops, out),
-    }
-    Ok(Effect {
-        is_alu: instr.op.is_alu_work(),
-        ..Effect::default()
-    })
-}
-
-/// Executes one enabled instruction that does *not* allocate a context;
-/// needs only shared access to the context
-/// table. `DInv` and `Return` read the records of contexts created by
-/// strictly earlier firings, so worker threads run this concurrently
-/// against [`crate::context::SharedContexts`] without coordination.
-pub(crate) fn execute_ro<C: ContextOps>(
-    program: &Program,
-    ctx: &C,
-    tag: ActivityName,
-    instr: &Instruction,
-    ops: &[Value],
-    out: &mut Vec<Token>,
-) -> Result<Effect, ExecError> {
-    let mut eff = Effect {
-        is_alu: instr.op.is_alu_work(),
-        ..Effect::default()
-    };
-    match &instr.op {
         OpCode::Identity => retag(tag, &instr.dests, ops[0], out),
         OpCode::Const(v) => retag(tag, &instr.dests, *v, out),
         OpCode::Alu(op) => {
@@ -260,15 +220,12 @@ pub(crate) fn execute_ro<C: ContextOps>(
             retag(tag, &instr.dests, v, out);
         }
         OpCode::Switch => {
-            let take = as_bool(&ops[1])?;
-            retag_branch(tag, &instr.dests, take, ops[0], out);
-        }
-        OpCode::D { .. } | OpCode::Apply { .. } => {
-            // Context-allocating opcodes are routed through [`execute`];
-            // reaching here is a backend-dispatch bug, not a program bug.
-            return Err(ExecError::BadTarget {
-                activity: format!("{tag} (context-allocating opcode in read-only execution)"),
-            });
+            let when = if as_bool(&ops[1])? {
+                DestBranch::IfTrue
+            } else {
+                DestBranch::IfFalse
+            };
+            retag_on(when, tag, &instr.dests, ops[0], out);
         }
         OpCode::DInv => {
             let rec = ctx.resolve(tag.u).ok_or_else(|| ExecError::BadTarget {

@@ -56,6 +56,7 @@ mod graph;
 mod machine;
 pub mod matching;
 pub mod opt;
+mod pe;
 mod place;
 mod relaxed;
 mod sched;

@@ -171,13 +171,6 @@ pub trait Machine: Sized {
     /// Overrides the firing budget.
     fn with_fuel(self, fuel: u64) -> Self;
 
-    /// Selects how many host worker threads execute the program. The
-    /// emulator switches to its parallel relaxed backend for `n > 1`
-    /// (`0` = one per core); the timed machine is a discrete-event simulation
-    /// driven by a single event queue, so it accepts the setting for
-    /// interface uniformity and always simulates its PEs on one thread.
-    fn with_threads(self, threads: usize) -> Self;
-
     /// The program outputs of a finished run, by slot — the piece of the
     /// result every engine shares, so generic harnesses can check
     /// answers without knowing the engine.
@@ -203,10 +196,6 @@ impl Machine for Emulator<'_> {
         Emulator::with_fuel(self, fuel)
     }
 
-    fn with_threads(self, threads: usize) -> Self {
-        Emulator::with_threads(self, threads)
-    }
-
     fn outputs(result: &EmuResult) -> &HashMap<u32, Value> {
         &result.outputs
     }
@@ -229,10 +218,6 @@ impl<T: Topology> Machine for TimedMachine<T> {
 
     fn with_fuel(self, fuel: u64) -> Self {
         TimedMachine::with_fuel(self, fuel)
-    }
-
-    fn with_threads(self, threads: usize) -> Self {
-        TimedMachine::with_threads(self, threads)
     }
 
     fn outputs(result: &TimedResult) -> &HashMap<u32, Value> {

@@ -16,8 +16,9 @@
 //! depend on execution order, only the order itself does. Concretely,
 //! for any program, a relaxed run agrees with a sequential run on:
 //!
-//! - program **outputs** (for [`Value::Ptr`] up to the structure *id* —
-//!   relaxed ids come from leased blocks and are not dense);
+//! - program **outputs** (for [`Value::Ptr`](crate::Value::Ptr) up to
+//!   the structure *id* — relaxed ids come from leased blocks and are
+//!   not dense);
 //! - the **error discriminant** when the program faults;
 //! - `instructions`, `alu_ops`, `contexts`, `istore_writes`, the total
 //!   `istore_immediate + istore_deferred`, and the stranded-token count
@@ -93,38 +94,38 @@
 //!
 //! # Causality of structure traffic
 //!
-//! An op on a structure must reach the owning shard before any op that
-//! causally depends on it (`IAlloc` before a fetch through the pointer,
-//! `IStore` before a fetch released by its completion signal). Workers
-//! therefore flush, per batch cycle, **ops to every peer first, tokens
-//! second**, and dispatch a firing's own op before routing its tokens.
-//! Each hop is an mpsc send, and sends ordered by happens-before
-//! enqueue in that order at the receiver, so the create/store is always
-//! applied before the dependent fetch arrives.
+//! An `IAlloc`'s create op must reach the owning shard before any token
+//! that carries the pointer (which could issue a fetch or store through
+//! it). The firing core resolves the allocation, queueing the create op,
+//! before it routes the pointer; workers flush **ops to every peer
+//! first, tokens second**. Each hop is an mpsc send, and sends ordered
+//! by happens-before enqueue in that order at the receiver, so the
+//! create is always applied before a dependent op arrives. A store's
+//! completion signal needs no such argument: the owning shard emits it
+//! after the write (DESIGN.md §18).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 
-use ttda_mem::{shard_of, Addr, IStructureShard, Presence, ReadOutcome};
+use ttda_mem::shard_of;
 use ttda_sim::Cycle;
-use ttda_trace::{EventBuffer, PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{EventBuffer, SharedSink, TraceEvent};
 
 use crate::context::{SharedContexts, WorkerCtx};
 use crate::emu::EmuResult;
-use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
-use crate::graph::{Dest, Program};
+use crate::graph::Program;
 use crate::matching::MatchingStore;
+use crate::pe::{seed, Emit, IUnit, Pe, Route, StructOp};
 use crate::place::{place, MappingPolicy};
 use crate::sched::{BucketQueue, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
-use crate::value::{StructRef, Value};
+use crate::tag::{ActivityName, Token};
 use crate::ExecError;
 
 /// Structure ids a worker takes per refill of its private lease. Ids
 /// are *not* dense (unused tail ids are simply never created) — they
-/// escape only inside [`Value::Ptr`], whose id the relaxed contract
+/// escape only inside [`Value::Ptr`](crate::Value::Ptr), whose id the relaxed contract
 /// does not promise.
 const STRUCT_LEASE: u32 = 64;
 
@@ -188,23 +189,13 @@ impl Shared<'_> {
         }
         self.poison.store(true, Ordering::SeqCst);
     }
-}
 
-/// What one worker hands back when it exits.
-struct WorkerOut {
-    outputs: HashMap<u32, Value>,
-    /// Successful firings on this worker.
-    fired: u64,
-    alu_ops: u64,
-    /// Peak occupancy of this worker's matching shard.
-    peak_matching: usize,
-    /// Tokens stranded in this worker's matching shard at quiescence.
-    stranded: usize,
-    /// Peak and final deferred-reader counts of this worker's shard.
-    peak_deferred: usize,
-    deferred_outstanding: usize,
-    istore: IStoreCounts,
-    traces: EventBuffer,
+    /// Local-queue priority of a token: its target's remaining
+    /// critical-path height under `Crit`, a constant 0 under `Fifo`
+    /// (which makes [`BucketQueue`] exactly a FIFO ring).
+    fn prio(&self, tag: ActivityName) -> u32 {
+        self.crit.as_ref().map_or(0, |c| c.criticality(tag))
+    }
 }
 
 /// Entry point: the relaxed equivalent of `Emulator::submit`. `fuel` is
@@ -224,34 +215,15 @@ pub(crate) fn submit(
     // the sequential interpreter assigns.
     let mut seeds: Vec<Vec<Token>> = (0..threads).map(|_| Vec::new()).collect();
     let mut nseeds = 0usize;
-    for job in jobs {
-        let block = program
-            .block(job.block)
-            .ok_or_else(|| ExecError::BadTarget {
-                activity: job.block.to_string(),
-            })?;
-        if job.inputs.len() != block.params.len() {
-            return Err(ExecError::InputArity {
-                expected: block.params.len(),
-                got: job.inputs.len(),
-            });
-        }
-        let root = ctxs.new_root(job.block);
-        for (k, v) in job.inputs.iter().enumerate() {
-            let t = Token::new(
-                ActivityName {
-                    u: root,
-                    c: job.block,
-                    s: block.params[k],
-                    i: Iter::ONE,
-                },
-                Port(0),
-                *v,
-            );
+    seed(
+        program,
+        jobs,
+        |b| ctxs.new_root(b),
+        |t| {
             seeds[owner(t.tag, threads)].push(t);
             nseeds += 1;
-        }
-    }
+        },
+    )?;
     if let Some(s) = &sink {
         let mut s = s.borrow_mut();
         for _ in 0..nseeds {
@@ -274,7 +246,7 @@ pub(crate) fn submit(
         crit: (sched == SchedPolicy::Crit).then(|| CritMap::of(program)),
     };
 
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
+    let workers: Vec<Worker> = std::thread::scope(|scope| {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel::<Msg>()).unzip();
         let handles: Vec<_> = rxs
             .into_iter()
@@ -303,22 +275,22 @@ pub(crate) fn submit(
             .collect()
     });
 
-    if let Some(e) = shared.first_err.into_inner().expect("error slot poisoned") {
+    if let Some(e) = shared.first_err.lock().expect("error slot poisoned").take() {
         return Err(e);
     }
-    let instructions = outs.iter().map(|o| o.fired).sum::<u64>();
+    let instructions = workers.iter().map(|w| w.pe.fired).sum::<u64>();
     if instructions > fuel {
         return Err(ExecError::OutOfFuel);
     }
-    let stranded = outs
+    // Tokens and deferred readers stranded in the shards at quiescence.
+    let stranded = workers
         .iter()
-        .map(|o| o.stranded + o.deferred_outstanding)
+        .map(|w| w.waiting.len() + w.structs.unit.deferred_outstanding())
         .sum::<usize>();
     if stranded > 0 {
         return Err(ExecError::Deadlock { stranded });
     }
 
-    let mut outputs = HashMap::new();
     let mut result = EmuResult {
         outputs: HashMap::new(),
         instructions,
@@ -332,19 +304,19 @@ pub(crate) fn submit(
         istore_deferred: 0,
         istore_writes: 0,
     };
-    for mut o in outs {
-        outputs.extend(o.outputs.drain());
-        result.alu_ops += o.alu_ops;
-        result.peak_matching += o.peak_matching;
-        result.peak_deferred += o.peak_deferred;
-        result.istore_immediate += o.istore.immediate;
-        result.istore_deferred += o.istore.deferred;
-        result.istore_writes += o.istore.writes;
+    for mut w in workers {
+        result.outputs.extend(w.pe.outputs.drain());
+        result.alu_ops += w.pe.alu_ops;
+        result.peak_matching += w.peak_matching;
+        result.peak_deferred += w.structs.peak_deferred;
+        let counts = w.structs.unit.counts;
+        result.istore_immediate += counts.immediate;
+        result.istore_deferred += counts.deferred;
+        result.istore_writes += counts.writes;
         if let Some(s) = &sink {
-            o.traces.replay_into(s);
+            w.out.traces.replay_into(s);
         }
     }
-    result.outputs = outputs;
     if let Some(s) = &sink {
         s.borrow_mut()
             .record(Cycle::ZERO, &TraceEvent::Halt { in_flight: 0 });
@@ -352,92 +324,187 @@ pub(crate) fn submit(
     Ok(result)
 }
 
-/// Everything one relaxed worker owns.
-struct Worker<'a, 'p> {
+/// A worker's output section: a produced token goes to the worker's
+/// local queue if this worker owns its matching shard, or into that
+/// peer's outbound batch.
+struct Outbox<'a, 'p> {
     shared: &'a Shared<'p>,
     me: usize,
-    rx: Receiver<Msg>,
-    waiting: MatchingStore,
-    shard: IStructureShard<Value, (ActivityName, Port)>,
-    wctx: WorkerCtx<'a>,
-    /// Private structure-id lease, refilled from the shared counter.
-    struct_next: u32,
-    struct_end: u32,
     /// Tokens owned by this worker's matching shard, pending
     /// absorption. FIFO under [`SchedPolicy::Fifo`] (everything lands
     /// at priority 0); a criticality-bucketed priority queue under
     /// [`SchedPolicy::Crit`].
     local: BucketQueue<Token>,
-    /// Outbound batches, one slot per peer (own slots stay empty — own
-    /// work is dispatched inline).
-    obufs: Vec<Vec<ShardOp>>,
+    /// Outbound token batches, one slot per peer (the own slot stays
+    /// empty).
     tbufs: Vec<Vec<Token>>,
+    traces: EventBuffer,
+}
+
+impl Emit for Outbox<'_, '_> {
+    fn traced(&self) -> bool {
+        self.shared.traced
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        if self.shared.traced {
+            self.traces.push(Cycle::ZERO, ev);
+        }
+    }
+
+    fn token(&mut self, t: Token) {
+        self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
+        let w = owner(t.tag, self.shared.threads);
+        if w == self.me {
+            self.local.push(self.shared.prio(t.tag), t);
+        } else {
+            self.tbufs[w].push(t);
+        }
+    }
+}
+
+/// A worker's structure side: its shard of the table as an I-structure
+/// unit, and the op batches bound for its peers' shards.
+struct Structs {
+    unit: IUnit,
+    /// Outbound op batches, one slot per peer (the own slot stays empty:
+    /// own ops apply inline).
+    obufs: Vec<Vec<ShardOp>>,
+    /// Private structure-id lease, refilled from the shared counter.
+    next: u32,
+    end: u32,
+    /// Peak deferred-reader count of `unit`.
+    peak_deferred: usize,
+}
+
+impl Structs {
+    /// Applies a fetch or store to this worker's shard.
+    fn apply(
+        &mut self,
+        program: &Program,
+        op: StructOp,
+        out: &mut Outbox,
+    ) -> Result<(), ExecError> {
+        self.unit.apply(program, op, out)?;
+        self.peak_deferred = self.peak_deferred.max(self.unit.deferred_outstanding());
+        Ok(())
+    }
+}
+
+/// A worker's route: structure ops go inline to its own shard or into
+/// the owning peer's batch.
+struct WorkerRoute<'w, 'a, 'p> {
+    out: &'w mut Outbox<'a, 'p>,
+    structs: &'w mut Structs,
+}
+
+impl<'a, 'p> Route for WorkerRoute<'_, 'a, 'p> {
+    type Out = Outbox<'a, 'p>;
+
+    fn out(&mut self) -> &mut Outbox<'a, 'p> {
+        self.out
+    }
+
+    fn alloc(&mut self, len: usize) -> u32 {
+        let (shared, st) = (self.out.shared, &mut *self.structs);
+        if st.next == st.end {
+            st.next = shared.next_struct.fetch_add(STRUCT_LEASE, Ordering::SeqCst);
+            st.end = st.next + STRUCT_LEASE;
+        }
+        let id = st.next;
+        st.next += 1;
+        let w = shard_of(id, shared.threads);
+        if w == self.out.me {
+            st.unit.create(id, len);
+        } else {
+            st.obufs[w].push(ShardOp::Create { id, len });
+        }
+        id
+    }
+
+    fn op(&mut self, op: StructOp) -> Result<(), ExecError> {
+        let shared = self.out.shared;
+        let w = shard_of(op.target().0.id, shared.threads);
+        if w == self.out.me {
+            self.structs.apply(shared.program, op, self.out)
+        } else {
+            self.structs.obufs[w].push(ShardOp::Op(op));
+            Ok(())
+        }
+    }
+}
+
+/// Everything one relaxed worker owns.
+struct Worker<'a, 'p> {
+    shared: &'a Shared<'p>,
+    me: usize,
+    rx: Receiver<Msg>,
     peers: Vec<Sender<Msg>>,
-    /// The firing path's token buffer, reused by every firing.
-    emitted: Vec<Token>,
-    /// Tokens one structure op produced, reused by every op.
-    released: Vec<Token>,
+    pe: Pe<'p, WorkerCtx<'p>>,
+    waiting: MatchingStore,
+    out: Outbox<'a, 'p>,
+    structs: Structs,
+    /// Peak occupancy of `waiting`.
+    peak_matching: usize,
     /// Whether this worker's hold is counted in `in_flight`.
     holding: bool,
-    /// Firings since the last drain, not yet in `shared.fired`.
-    unpublished: u64,
+    /// Firings already added to `shared.fired`.
+    published: u64,
     /// `shared.fired` as of this worker's last publication.
     fired_seen: u64,
     /// Set when this worker failed or saw the run poisoned.
     halted: bool,
-    out: WorkerOut,
 }
 
 /// One relaxed worker: absorb and fire tokens from the local queue,
 /// batch outbound traffic, drain the inbox every [`DRAIN_EVERY`]
-/// firings, block when idle, exit on `Stop`, quiescence or poison.
-fn worker(shared: &Shared<'_>, me: usize, rx: Receiver<Msg>, peers: Vec<Sender<Msg>>) -> WorkerOut {
+/// firings, block when idle, exit on `Stop`, quiescence or poison. The
+/// finished worker is handed back for its counts, outputs and traces.
+fn worker<'a, 'p>(
+    shared: &'a Shared<'p>,
+    me: usize,
+    rx: Receiver<Msg>,
+    peers: Vec<Sender<Msg>>,
+) -> Worker<'a, 'p> {
     let threads = shared.threads;
     let mut w = Worker {
         shared,
         me,
         rx,
-        waiting: MatchingStore::new(),
-        shard: IStructureShard::new(),
-        wctx: shared.ctxs.handle(),
-        struct_next: 0,
-        struct_end: 0,
-        local: BucketQueue::new(),
-        obufs: (0..threads).map(|_| Vec::new()).collect(),
-        tbufs: (0..threads).map(|_| Vec::new()).collect(),
         peers,
-        emitted: Vec::new(),
-        released: Vec::new(),
-        holding: false,
-        unpublished: 0,
-        fired_seen: 0,
-        halted: false,
-        out: WorkerOut {
-            outputs: HashMap::new(),
-            fired: 0,
-            alu_ops: 0,
-            peak_matching: 0,
-            stranded: 0,
-            peak_deferred: 0,
-            deferred_outstanding: 0,
-            istore: IStoreCounts::default(),
+        pe: Pe::new(shared.program, shared.ctxs.handle()),
+        waiting: MatchingStore::new(),
+        out: Outbox {
+            shared,
+            me,
+            local: BucketQueue::new(),
+            tbufs: (0..threads).map(|_| Vec::new()).collect(),
             traces: EventBuffer::new(),
         },
+        structs: Structs {
+            unit: IUnit::whole(),
+            obufs: (0..threads).map(|_| Vec::new()).collect(),
+            next: 0,
+            end: 0,
+            peak_deferred: 0,
+        },
+        peak_matching: 0,
+        holding: false,
+        published: 0,
+        fired_seen: 0,
+        halted: false,
     };
     w.run();
-    w.out.fired += w.unpublished;
-    w.out.stranded = w.waiting.len();
-    w.out.deferred_outstanding = w.shard.deferred_outstanding();
-    w.out
+    w
 }
 
 impl Worker<'_, '_> {
     fn run(&mut self) {
         loop {
             while !self.halted {
-                let Some(t) = self.local.pop() else { break };
+                let Some(t) = self.out.local.pop() else { break };
                 self.process_token(t);
-                if self.unpublished >= DRAIN_EVERY {
+                if self.pe.fired - self.published >= DRAIN_EVERY {
                     self.drain();
                 }
             }
@@ -468,12 +535,6 @@ impl Worker<'_, '_> {
         }
     }
 
-    fn trace(&mut self, ev: TraceEvent) {
-        if self.shared.traced {
-            self.out.traces.push(Cycle::ZERO, ev);
-        }
-    }
-
     fn fail(&mut self, e: ExecError) {
         self.shared.fail(e);
         self.halted = true;
@@ -494,8 +555,8 @@ impl Worker<'_, '_> {
     /// already waiting in the inbox without blocking, or yield the core
     /// to the peers if nothing has arrived.
     fn drain(&mut self) {
-        let n = std::mem::take(&mut self.unpublished);
-        self.out.fired += n;
+        let n = self.pe.fired - self.published;
+        self.published = self.pe.fired;
         self.fired_seen = self.shared.fired.fetch_add(n, Ordering::SeqCst) + n;
         if self.fired_seen > self.shared.fuel {
             self.fail(ExecError::OutOfFuel);
@@ -519,215 +580,48 @@ impl Worker<'_, '_> {
         }
     }
 
-    /// Local-queue priority of a token: its target's remaining
-    /// critical-path height under `Crit`, a constant 0 under `Fifo`
-    /// (which makes [`BucketQueue`] exactly a FIFO ring).
-    fn prio(&self, tag: ActivityName) -> u32 {
-        self.shared.crit.as_ref().map_or(0, |c| c.criticality(tag))
-    }
-
-    /// Routes a freshly produced token to its matching shard's owner:
-    /// onto the local queue, or into that peer's outbound batch.
-    fn route(&mut self, t: Token) {
-        self.trace(TraceEvent::TokenEmit { pe: self.me as u32 });
-        let w = owner(t.tag, self.shared.threads);
-        if w == self.me {
-            self.local.push(self.prio(t.tag), t);
-        } else {
-            self.tbufs[w].push(t);
-        }
-    }
-
-    /// Dispatches a structure op to its owning shard — inline when this
-    /// worker owns the structure, batched otherwise.
-    fn dispatch_op(&mut self, tag: ActivityName, action: StructAction) {
-        let ptr_id = match &action {
-            StructAction::Fetch { ptr, .. } | StructAction::Store { ptr, .. } => ptr.id,
-            StructAction::Alloc { .. } => unreachable!("allocations are resolved by the firer"),
-        };
-        let op = StructOp { tag, action };
-        let owner = shard_of(ptr_id, self.shared.threads);
-        if owner == self.me {
-            self.apply_op(op);
-        } else {
-            self.obufs[owner].push(ShardOp::Op(op));
-        }
-    }
-
-    /// Registers a newly allocated structure with its owning shard.
-    fn dispatch_create(&mut self, id: u32, len: usize) {
-        let owner = shard_of(id, self.shared.threads);
-        if owner == self.me {
-            self.shard.create(id, len);
-        } else {
-            self.obufs[owner].push(ShardOp::Create { id, len });
-        }
-    }
-
-    /// Applies one fetch/store against the local shard, routing any
-    /// produced tokens (fetched values, released readers).
-    fn apply_op(&mut self, op: StructOp) {
-        // A store's completion signal was already routed by its firer
-        // (see `process_token`), so only a fetch has a continuation here.
-        let dests = match op.action {
-            StructAction::Fetch { .. } => dests_of(self.shared.program, op.tag),
-            _ => &[],
-        };
-        let mut released = std::mem::take(&mut self.released);
-        let res = apply_one(
-            &mut self.shard,
-            op,
-            dests,
-            Cycle::ZERO,
-            self.shared.traced,
-            &mut self.out.istore,
-            &mut released,
-            &mut self.out.traces,
-        );
-        match res {
-            Ok(()) => {
-                for t in released.drain(..) {
-                    self.route(t);
-                }
-                self.out.peak_deferred = self
-                    .out
-                    .peak_deferred
-                    .max(self.shard.deferred_outstanding());
-            }
-            Err(e) => {
-                released.clear();
-                self.fail(e);
-            }
-        }
-        self.released = released;
-    }
-
-    /// Takes a structure id from the private lease, refilling it from
-    /// the shared counter when exhausted.
-    fn take_struct_id(&mut self) -> u32 {
-        if self.struct_next == self.struct_end {
-            self.struct_next = self
-                .shared
-                .next_struct
-                .fetch_add(STRUCT_LEASE, Ordering::SeqCst);
-            self.struct_end = self.struct_next + STRUCT_LEASE;
-        }
-        let id = self.struct_next;
-        self.struct_next += 1;
-        id
-    }
-
-    /// Absorbs one token into the local matching shard and executes the
-    /// firing it enables, if any.
+    /// Takes one token through this worker's PE.
     fn process_token(&mut self, token: Token) {
-        self.trace(TraceEvent::TokenConsume { pe: self.me as u32 });
-        let enabled = match absorb(self.shared.program, &mut self.waiting, token) {
-            Ok(enabled) => enabled,
-            Err(e) => {
-                self.fail(e);
-                return;
-            }
+        let mut route = WorkerRoute {
+            out: &mut self.out,
+            structs: &mut self.structs,
         };
-        self.out.peak_matching = self.out.peak_matching.max(self.waiting.len());
-        let Some((tag, operands)) = enabled else {
-            let occupancy = self.waiting.len() as u64;
-            self.trace(TraceEvent::MatchWait {
-                pe: self.me as u32,
-                occupancy,
-            });
-            return;
-        };
-        let instr = self
-            .shared
-            .program
-            .block(tag.c)
-            .and_then(|b| b.instr(tag.s))
-            .expect("absorb resolved the instruction");
-        let eff = match execute(
-            self.shared.program,
-            &mut self.wctx,
-            tag,
-            instr,
-            &operands,
-            &mut self.emitted,
-        ) {
-            Ok(eff) => eff,
-            Err(e) => {
-                self.fail(e);
-                return;
-            }
-        };
-        self.unpublished += 1;
-        if self.fired_seen + self.unpublished > self.shared.fuel {
-            self.fail(ExecError::OutOfFuel);
-            return;
-        }
-        if eff.is_alu {
-            self.out.alu_ops += 1;
-        }
-        self.trace(TraceEvent::MatchFire {
-            pe: self.me as u32,
-            alu: eff.is_alu,
-            busy: 0,
-        });
-        if let Some((slot, v)) = eff.output {
-            self.out.outputs.insert(slot, v);
-        }
-        // Dispatch the structure op *before* routing any token of this
-        // firing: a consumer reached through a token may issue a
-        // dependent op, and the dependency must already be in the
-        // owner's queue (see the module docs on causality).
-        match eff.action {
-            None => {}
-            Some(StructAction::Alloc { len }) => {
-                let id = self.take_struct_id();
-                self.dispatch_create(id, len);
-                let p = Value::Ptr(StructRef {
-                    id,
-                    len: len as u32,
-                });
-                for (rtag, port) in continuation(tag, &instr.dests) {
-                    self.route(Token::new(rtag, port, p));
+        match self
+            .pe
+            .step(self.me as u32, &mut self.waiting, token, &mut route)
+        {
+            Ok(fired) => {
+                self.peak_matching = self.peak_matching.max(self.waiting.len());
+                let unpublished = self.pe.fired - self.published;
+                if fired && self.fired_seen + unpublished > self.shared.fuel {
+                    self.fail(ExecError::OutOfFuel);
                 }
             }
-            Some(action @ StructAction::Fetch { .. }) => self.dispatch_op(tag, action),
-            Some(action @ StructAction::Store { .. }) => {
-                // The completion signal is emitted here, by the firer:
-                // the op is flushed before the token, so a fetch the
-                // signal unlocks cannot overtake the store.
-                self.dispatch_op(tag, action);
-                for (rtag, port) in continuation(tag, &instr.dests) {
-                    self.route(Token::new(rtag, port, Value::Unit));
-                }
-            }
+            Err(e) => self.fail(e),
         }
-        let mut emitted = std::mem::take(&mut self.emitted);
-        for t in emitted.drain(..) {
-            self.route(t);
-        }
-        self.emitted = emitted;
     }
 
     /// Flushes outbound batches: ops to every peer first, then tokens —
     /// the order the causality argument rests on. The whole flush is
     /// charged to `in_flight` in one step before the first send.
     fn flush(&mut self) {
-        let n = self.obufs.iter().map(Vec::len).sum::<usize>()
-            + self.tbufs.iter().map(Vec::len).sum::<usize>();
+        let (obufs, tbufs) = (&mut self.structs.obufs, &mut self.out.tbufs);
+        let n =
+            obufs.iter().map(Vec::len).sum::<usize>() + tbufs.iter().map(Vec::len).sum::<usize>();
         if n == 0 {
             return;
         }
         self.shared.in_flight.fetch_add(n, Ordering::SeqCst);
-        for w in 0..self.shared.threads {
-            if !self.obufs[w].is_empty() {
+        for (peer, ops) in self.peers.iter().zip(obufs.iter_mut()) {
+            if !ops.is_empty() {
                 // A failed send means the peer exited on poison; the
                 // batch no longer matters.
-                let _ = self.peers[w].send(Msg::Ops(std::mem::take(&mut self.obufs[w])));
+                let _ = peer.send(Msg::Ops(std::mem::take(ops)));
             }
         }
-        for w in 0..self.shared.threads {
-            if !self.tbufs[w].is_empty() {
-                let _ = self.peers[w].send(Msg::Tokens(std::mem::take(&mut self.tbufs[w])));
+        for (peer, ts) in self.peers.iter().zip(tbufs.iter_mut()) {
+            if !ts.is_empty() {
+                let _ = peer.send(Msg::Tokens(std::mem::take(ts)));
             }
         }
     }
@@ -739,15 +633,21 @@ impl Worker<'_, '_> {
                 self.take_hold(ops.len());
                 for op in ops {
                     match op {
-                        ShardOp::Create { id, len } => self.shard.create(id, len),
-                        ShardOp::Op(op) => self.apply_op(op),
+                        ShardOp::Create { id, len } => self.structs.unit.create(id, len),
+                        ShardOp::Op(op) => {
+                            if let Err(e) =
+                                self.structs.apply(self.shared.program, op, &mut self.out)
+                            {
+                                self.fail(e);
+                            }
+                        }
                     }
                 }
             }
             Msg::Tokens(ts) => {
                 self.take_hold(ts.len());
                 for t in ts {
-                    self.local.push(self.prio(t.tag), t);
+                    self.out.local.push(self.shared.prio(t.tag), t);
                 }
             }
             Msg::Stop => return false,
@@ -764,157 +664,4 @@ impl Worker<'_, '_> {
             self.shared.in_flight.fetch_sub(settle, Ordering::SeqCst);
         }
     }
-}
-
-/// A structure operation routed to the shard that owns the structure.
-struct StructOp {
-    /// The firing's activity name (for error rendering).
-    tag: ActivityName,
-    action: StructAction,
-}
-
-/// Read and write counts of structure traffic.
-#[derive(Debug, Clone, Copy, Default)]
-struct IStoreCounts {
-    /// Reads satisfied at once.
-    immediate: u64,
-    /// Reads that waited for their producer.
-    deferred: u64,
-    /// Writes.
-    writes: u64,
-}
-
-/// The error for an op on a structure id no shard has registered.
-fn dangling(tag: ActivityName, ptr: StructRef) -> ExecError {
-    ExecError::BadTarget {
-        activity: format!("{tag} (dangling {ptr:?})"),
-    }
-}
-
-/// Applies one fetch/store to `shard`, pushing the tokens it produces
-/// (fetched values, released readers, a store's completion signal) onto
-/// `tokens` and its trace events onto `traces`.
-#[allow(clippy::too_many_arguments)]
-fn apply_one(
-    shard: &mut IStructureShard<Value, (ActivityName, Port)>,
-    op: StructOp,
-    dests: &[Dest],
-    now: Cycle,
-    traced: bool,
-    counts: &mut IStoreCounts,
-    tokens: &mut Vec<Token>,
-    traces: &mut EventBuffer,
-) -> Result<(), ExecError> {
-    let StructOp { tag, action } = op;
-    match action {
-        StructAction::Alloc { .. } => {
-            unreachable!("allocations are resolved by the firer")
-        }
-        StructAction::Fetch { ptr, idx } => {
-            for (rtag, port) in continuation(tag, dests) {
-                let before = if traced {
-                    shard
-                        .store(ptr.id)
-                        .ok_or_else(|| dangling(tag, ptr))?
-                        .presence(Addr(idx))?
-                } else {
-                    Presence::Empty
-                };
-                let outcome = shard
-                    .read(ptr.id, Addr(idx), (rtag, port))
-                    .ok_or_else(|| dangling(tag, ptr))??;
-                match outcome {
-                    ReadOutcome::Value(v) => {
-                        counts.immediate += 1;
-                        tokens.push(Token::new(rtag, port, v));
-                        if traced {
-                            traces.push(
-                                now,
-                                TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: true,
-                                },
-                            );
-                        }
-                    }
-                    ReadOutcome::Deferred => {
-                        counts.deferred += 1;
-                        if traced {
-                            traces.push(
-                                now,
-                                TraceEvent::IStoreRead {
-                                    module: ptr.id,
-                                    immediate: false,
-                                },
-                            );
-                            let depth = shard
-                                .store(ptr.id)
-                                .expect("structure present")
-                                .deferred_count(Addr(idx))?
-                                as u64;
-                            traces.push(
-                                now,
-                                TraceEvent::DeferEnqueue {
-                                    module: ptr.id,
-                                    depth,
-                                },
-                            );
-                            if before != Presence::Deferred {
-                                traces.push(
-                                    now,
-                                    TraceEvent::Presence {
-                                        module: ptr.id,
-                                        from: before.as_trace(),
-                                        to: PresenceState::Deferred,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        StructAction::Store { ptr, idx, value } => {
-            let before = if traced {
-                shard
-                    .store(ptr.id)
-                    .ok_or_else(|| dangling(tag, ptr))?
-                    .presence(Addr(idx))?
-            } else {
-                Presence::Empty
-            };
-            // Released readers stream straight into the token buffer (the
-            // packed store's zero-allocation release path).
-            let released = shard
-                .write_with(ptr.id, Addr(idx), value, |(rtag, port)| {
-                    tokens.push(Token::new(rtag, port, value));
-                })
-                .ok_or_else(|| dangling(tag, ptr))??;
-            counts.writes += 1;
-            if traced {
-                traces.push(now, TraceEvent::IStoreWrite { module: ptr.id });
-                traces.push(
-                    now,
-                    TraceEvent::Presence {
-                        module: ptr.id,
-                        from: before.as_trace(),
-                        to: PresenceState::Present,
-                    },
-                );
-                if released > 0 {
-                    traces.push(
-                        now,
-                        TraceEvent::DeferRelease {
-                            module: ptr.id,
-                            released: released as u64,
-                        },
-                    );
-                }
-            }
-            for (rtag, port) in continuation(tag, dests) {
-                tokens.push(Token::new(rtag, port, Value::Unit));
-            }
-        }
-    }
-    Ok(())
 }

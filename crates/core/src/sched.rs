@@ -13,9 +13,8 @@
 //!   machine). Ties always break by arrival order, so a graph whose
 //!   ready tokens all tie schedules exactly as FIFO does.
 //!
-//! The process-wide default comes from `TTDA_SCHED=fifo|crit`
-//! (case-insensitive); an unparsable value warns on stderr once and
-//! falls back to FIFO.
+//! Every engine defaults to FIFO; a caller picks `Crit` through the
+//! engine's builder (`Emulator::with_sched`, `TimedConfig::sched`).
 
 use std::collections::VecDeque;
 
@@ -39,40 +38,6 @@ impl std::fmt::Display for SchedPolicy {
             SchedPolicy::Fifo => write!(f, "fifo"),
             SchedPolicy::Crit => write!(f, "crit"),
         }
-    }
-}
-
-/// Parses a `TTDA_SCHED` value, case-insensitively: `fifo` (or empty)
-/// selects FIFO, `crit`/`criticality` selects criticality-aware;
-/// anything else is unrecognized (`None`).
-pub(crate) fn parse_sched(s: &str) -> Option<SchedPolicy> {
-    match s.to_ascii_lowercase().as_str() {
-        "" | "fifo" => Some(SchedPolicy::Fifo),
-        "crit" | "criticality" => Some(SchedPolicy::Crit),
-        _ => None,
-    }
-}
-
-/// Scheduling-policy default: `TTDA_SCHED=crit` makes every engine
-/// prioritize by criticality process-wide (read at construction time,
-/// overridable per instance). An unrecognized value falls back to FIFO,
-/// but says so on stderr once per process.
-pub(crate) fn env_sched() -> SchedPolicy {
-    match std::env::var("TTDA_SCHED") {
-        Err(_) => SchedPolicy::Fifo,
-        Ok(s) => match parse_sched(s.trim()) {
-            Some(p) => p,
-            None => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "ttda-core: TTDA_SCHED={s:?} is not a scheduling policy; \
-                         staying FIFO (set fifo or crit)"
-                    );
-                });
-                SchedPolicy::Fifo
-            }
-        },
     }
 }
 
@@ -202,16 +167,7 @@ mod tests {
     use crate::value::{AluOp, Value};
 
     #[test]
-    fn parse_sched_accepts_the_documented_spellings() {
-        for fifo in ["", "fifo", "FIFO", "Fifo"] {
-            assert_eq!(parse_sched(fifo), Some(SchedPolicy::Fifo), "{fifo:?}");
-        }
-        for crit in ["crit", "CRIT", "Crit", "criticality", "CRITICALITY"] {
-            assert_eq!(parse_sched(crit), Some(SchedPolicy::Crit), "{crit:?}");
-        }
-        for junk in ["1", "priority", "lifo", "c r i t"] {
-            assert_eq!(parse_sched(junk), None, "{junk:?}");
-        }
+    fn policy_defaults_to_fifo_and_displays_lowercase() {
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
         assert_eq!(SchedPolicy::Crit.to_string(), "crit");
         assert_eq!(SchedPolicy::Fifo.to_string(), "fifo");

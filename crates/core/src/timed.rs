@@ -18,19 +18,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ttda_mem::{Addr, IStructureError, IStructureShard, Presence};
 use ttda_net::{Fabric, FabricConfig, Ideal, NodeId, Topology};
 use ttda_sim::{Cycle, EventQueue};
-use ttda_trace::{PresenceState, SharedSink, TraceEvent};
+use ttda_trace::{SharedSink, TraceEvent};
 
 use crate::context::ContextManager;
-use crate::exec::{absorb, continuation, dests_of, execute, StructAction};
+use crate::exec::StructAction;
 use crate::graph::Program;
 use crate::matching::MatchingStore;
+use crate::pe::{seed, Emit, IStoreCounts, IUnit, Pe, Route, StructOp};
 use crate::place::{place, MappingPolicy};
-use crate::sched::{env_sched, BucketQueue, CritMap, SchedPolicy};
-use crate::tag::{ActivityName, Iter, Port, Token};
-use crate::value::{StructRef, Value};
+use crate::sched::{BucketQueue, CritMap, SchedPolicy};
+use crate::tag::Token;
+use crate::value::Value;
 use crate::ExecError;
 
 /// Where an I-structure's elements live.
@@ -77,8 +77,7 @@ pub struct TimedConfig {
     pub placement: StructPlacement,
     /// How each PE orders its input queue: FIFO (arrival order) or
     /// criticality-aware (longest remaining critical path first, ties in
-    /// arrival order — see [`SchedPolicy`]). The default honours
-    /// `TTDA_SCHED`, falling back to FIFO.
+    /// arrival order — see [`SchedPolicy`]). The default is FIFO.
     pub sched: SchedPolicy,
     /// Network queueing parameters.
     pub fabric: FabricConfig,
@@ -100,7 +99,7 @@ impl Default for TimedConfig {
             match_capacity: 0,
             match_overflow_penalty: Cycle(4),
             placement: StructPlacement::Interleaved,
-            sched: env_sched(),
+            sched: SchedPolicy::Fifo,
             fabric: FabricConfig::default(),
             max_cycles: Cycle(100_000_000),
             fuel: 50_000_000,
@@ -179,34 +178,14 @@ pub struct TimedResult {
     pub stats: MachineStats,
 }
 
-/// Surfaces a module-local store error with structure-global
-/// coordinates: the per-module stores work in local cells, but every
-/// other engine reports the element index the program actually used.
-fn globalize(e: IStructureError, ptr: StructRef, idx: usize) -> ExecError {
-    ExecError::IStructure(match e {
-        IStructureError::OutOfRange { .. } => IStructureError::OutOfRange {
-            addr: Addr(idx),
-            size: ptr.len as usize,
-        },
-        IStructureError::AlreadyWritten { .. } => {
-            IStructureError::AlreadyWritten { addr: Addr(idx) }
-        }
-    })
-}
-
 #[derive(Debug)]
 enum Ev {
     /// A `d=0` token reaches a PE's input.
     Deliver { pe: usize, token: Token },
     /// A PE is ready to service its queue.
     Wake { pe: usize },
-    /// A `d=1` packet reaches an I-structure module. `issuer` is the
-    /// firing that sent it; its destinations are the op's continuation.
-    IsOp {
-        module: usize,
-        issuer: ActivityName,
-        action: StructAction,
-    },
+    /// A `d=1` packet reaches an I-structure module.
+    IsOp { module: usize, op: StructOp },
 }
 
 #[derive(Debug, Default)]
@@ -221,13 +200,11 @@ struct PeState {
     alu_busy: Cycle,
 }
 
-/// One I-structure storage module: its slice of every structure (a
-/// lazily-materialized [`IStructureShard`] over the packed store — the
-/// same storage engine the emulator and the parallel backend run on)
-/// plus its single service port.
-#[derive(Debug, Default)]
+/// One I-structure storage module: its slice of every structure, as an
+/// I-structure unit, plus its single service port.
+#[derive(Debug)]
 struct ModState {
-    store: IStructureShard<Value, (ActivityName, Port)>,
+    unit: IUnit,
     port_free: Cycle,
 }
 
@@ -307,16 +284,6 @@ impl<T: Topology> TimedMachine<T> {
         self
     }
 
-    /// Accepts the shared [`Machine`](crate::Machine) thread setting.
-    /// The timed model is a discrete-event simulation driven by one
-    /// event queue — its *simulated* PEs are already "parallel", and host
-    /// threading does not apply — so the value is ignored; the method
-    /// exists so engine-generic configuration code compiles against both
-    /// engines.
-    pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
     /// Number of processing elements.
     pub fn pes(&self) -> usize {
         self.fabric.topology().ports()
@@ -325,35 +292,6 @@ impl<T: Topology> TimedMachine<T> {
     /// The program loaded into program memory.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The output section's mapping function.
-    fn pe_of(&self, tag: ActivityName) -> usize {
-        place(self.config.mapping, tag, self.pes())
-    }
-
-    fn module_of(&self, ptr: StructRef, idx: usize) -> usize {
-        match self.config.placement {
-            StructPlacement::Interleaved => (ptr.id as usize + idx) % self.pes(),
-            StructPlacement::SingleModule => ptr.id as usize % self.pes(),
-        }
-    }
-
-    /// The owning module's (local cell, local slice size) for element
-    /// `idx` of `ptr`. Interleaved placement strides elements round-robin
-    /// across modules, so a module holds every `pes`-th element and the
-    /// local index is `idx / pes`; a single-module structure maps 1:1.
-    /// Bounds are enforced at slice granularity (`len.div_ceil(pes)`
-    /// cells per module), which catches out-of-range indices the old
-    /// per-cell hash map silently accepted.
-    fn local_slot(&self, ptr: StructRef, idx: usize) -> (Addr, usize) {
-        match self.config.placement {
-            StructPlacement::Interleaved => {
-                let n = self.pes();
-                (Addr(idx / n), (ptr.len as usize).div_ceil(n))
-            }
-            StructPlacement::SingleModule => (Addr(idx), ptr.len as usize),
-        }
     }
 
     /// Executes the program on `inputs`.
@@ -388,83 +326,52 @@ impl<T: Topology> TimedMachine<T> {
         let n = self.pes();
         let mut cfg = self.config;
         cfg.fuel = crate::machine::batch_fuel(cfg.fuel, jobs);
-        // A local clone keeps the disabled-tracing cost at one branch per
-        // event site and sidesteps borrows of `self` held below.
-        let sink = self.sink.clone();
-        let trace = |at: Cycle, ev: &TraceEvent| {
-            if let Some(s) = &sink {
-                s.borrow_mut().record(at, ev);
-            }
+        let mut net = Net {
+            q: EventQueue::new(),
+            fabric: &mut self.fabric,
+            sink: self.sink.clone(),
+            cfg,
+            tokens_remote: 0,
         };
 
         let program = Arc::clone(&self.program);
-        let mut ctx = ContextManager::new(program.main);
+        let mut core = Pe::new(&program, ContextManager::new(program.main));
         // Criticality lookup for the PE input queues; `None` under FIFO,
         // where every token lands at priority 0 and the bucket queue
         // degenerates to the historical ring.
         let crit = (cfg.sched == SchedPolicy::Crit).then(|| CritMap::of(&program));
         let prio = |t: &Token| crit.as_ref().map_or(0, |c| c.criticality(t.tag));
         let mut pes: Vec<PeState> = (0..n).map(|_| PeState::default()).collect();
-        let mut modules: Vec<ModState> = (0..n).map(|_| ModState::default()).collect();
+        // Interleaved placement gives each module every n-th element.
+        let stride = match cfg.placement {
+            StructPlacement::Interleaved => n,
+            StructPlacement::SingleModule => 1,
+        };
+        let mut modules: Vec<ModState> = (0..n)
+            .map(|m| ModState {
+                unit: IUnit::new(Some(m as u32), stride),
+                port_free: Cycle::ZERO,
+            })
+            .collect();
         let mut next_struct: u32 = 0;
-        let mut outputs = HashMap::new();
-        let mut q: EventQueue<Ev> = EventQueue::new();
-
-        let mut instructions: u64 = 0;
-        let mut alu_ops: u64 = 0;
         let mut tokens_delivered: u64 = 0;
-        let mut tokens_remote: u64 = 0;
         let mut peak_matching: usize = 0;
         // Tokens parked across every PE's matching store, kept current at
         // each absorb instead of summed over the PEs per event.
         let mut waiting_total: usize = 0;
         let mut match_overflows: u64 = 0;
         let mut peak_queue: usize = 0;
-        let mut is_immediate: u64 = 0;
-        let mut is_deferred: u64 = 0;
-        let mut is_writes: u64 = 0;
         let mut end = Cycle::ZERO;
-        // The firing path's token buffer, reused by every firing.
-        let mut emitted: Vec<Token> = Vec::new();
 
         // Inject every job's inputs at time zero, each under its own
         // fresh root context.
-        for job in jobs {
-            let (block_id, inputs) = (&job.block, &job.inputs);
-            let block = program
-                .block(*block_id)
-                .ok_or_else(|| ExecError::BadTarget {
-                    activity: block_id.to_string(),
-                })?;
-            if inputs.len() != block.params.len() {
-                return Err(ExecError::InputArity {
-                    expected: block.params.len(),
-                    got: inputs.len(),
-                });
-            }
-            let root = ctx.new_root(*block_id);
-            for (k, v) in inputs.iter().enumerate() {
-                let tag = ActivityName {
-                    u: root,
-                    c: *block_id,
-                    s: block.params[k],
-                    i: Iter::ONE,
-                };
-                let pe = self.pe_of(tag);
-                q.push(
-                    Cycle::ZERO,
-                    Ev::Deliver {
-                        pe,
-                        token: Token::new(tag, Port(0), *v),
-                    },
-                );
-                trace(Cycle::ZERO, &TraceEvent::TokenEmit { pe: pe as u32 });
-            }
-        }
+        let mut out = net.outlet(None, Cycle::ZERO);
+        let ctx = &mut core.ctx;
+        seed(&program, jobs, |b| ctx.new_root(b), |t| out.token(t))?;
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((now, ev)) = net.q.pop() {
             end = end.max(now);
-            if now > cfg.max_cycles || instructions > cfg.fuel {
+            if now > cfg.max_cycles || core.fired > cfg.fuel {
                 return Err(ExecError::OutOfFuel);
             }
             match ev {
@@ -475,288 +382,58 @@ impl<T: Topology> TimedMachine<T> {
                     peak_queue = peak_queue.max(p.queue.len());
                     if !p.wake_scheduled {
                         p.wake_scheduled = true;
-                        q.push(now.max(p.busy_until), Ev::Wake { pe });
+                        net.q.push(now.max(p.busy_until), Ev::Wake { pe });
                     }
                 }
                 Ev::Wake { pe } => {
-                    let Some(token) = pes[pe].queue.pop() else {
-                        pes[pe].wake_scheduled = false;
+                    let p = &mut pes[pe];
+                    let Some(token) = p.queue.pop() else {
+                        p.wake_scheduled = false;
                         continue;
                     };
                     let mut busy = cfg.match_time;
-                    if cfg.match_capacity > 0 && pes[pe].waiting.len() >= cfg.match_capacity {
+                    if cfg.match_capacity > 0 && p.waiting.len() >= cfg.match_capacity {
                         busy += cfg.match_overflow_penalty;
                         match_overflows += 1;
                     }
-                    let parked_before = pes[pe].waiting.len();
-                    let enabled = absorb(&program, &mut pes[pe].waiting, token)?;
-                    waiting_total = waiting_total - parked_before + pes[pe].waiting.len();
-                    if sink.is_some() {
-                        trace(now, &TraceEvent::TokenConsume { pe: pe as u32 });
-                        if enabled.is_none() {
-                            trace(
-                                now,
-                                &TraceEvent::MatchWait {
-                                    pe: pe as u32,
-                                    occupancy: pes[pe].waiting.len() as u64,
-                                },
-                            );
-                        }
-                    }
-                    if let Some((tag, ops)) = enabled {
-                        let instr = program
-                            .block(tag.c)
-                            .and_then(|b| b.instr(tag.s))
-                            .ok_or_else(|| ExecError::BadTarget {
-                                activity: tag.to_string(),
-                            })?;
-                        instructions += 1;
-                        let eff = execute(&program, &mut ctx, tag, instr, &ops, &mut emitted)?;
-                        busy += cfg.alu_time;
-                        if eff.is_alu {
-                            alu_ops += 1;
-                            pes[pe].alu_busy += cfg.alu_time;
-                        }
-                        let emit_count = emitted.len() as u64;
-                        busy += cfg.output_time.saturating_mul(emit_count);
-                        let done = now + busy;
-                        trace(
-                            now,
-                            &TraceEvent::MatchFire {
-                                pe: pe as u32,
-                                alu: eff.is_alu,
-                                busy: busy.as_u64(),
-                            },
-                        );
-
-                        for t in emitted.drain(..) {
-                            let dest = self.pe_of(t.tag);
-                            trace(done, &TraceEvent::TokenEmit { pe: dest as u32 });
-                            if dest == pe {
-                                q.push(done + cfg.local_delay, Ev::Deliver { pe: dest, token: t });
-                            } else {
-                                tokens_remote += 1;
-                                let arrive = self.fabric.send(done, NodeId(pe), NodeId(dest));
-                                q.push(arrive, Ev::Deliver { pe: dest, token: t });
-                            }
-                        }
-                        if let Some((slot, v)) = eff.output {
-                            outputs.insert(slot, v);
-                        }
-                        if let Some(action) = eff.action {
-                            match action {
-                                StructAction::Alloc { len } => {
-                                    // Allocation is a controller (d=2) job
-                                    // at the firing PE.
-                                    let ptr = Value::Ptr(StructRef {
-                                        id: next_struct,
-                                        len: len as u32,
-                                    });
-                                    next_struct += 1;
-                                    self.route_value(
-                                        &program,
-                                        &mut q,
-                                        done,
-                                        pe,
-                                        ptr,
-                                        tag,
-                                        &mut tokens_remote,
-                                    );
-                                }
-                                StructAction::Fetch { ptr, idx, .. }
-                                | StructAction::Store { ptr, idx, .. } => {
-                                    let module = self.module_of(ptr, idx);
-                                    let arrive = if module == pe {
-                                        done + cfg.local_delay
-                                    } else {
-                                        tokens_remote += 1;
-                                        self.fabric.send(done, NodeId(pe), NodeId(module))
-                                    };
-                                    q.push(
-                                        arrive,
-                                        Ev::IsOp {
-                                            module,
-                                            issuer: tag,
-                                            action,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        pes[pe].busy_until = done;
-                    } else {
-                        pes[pe].busy_until = now + busy;
-                    }
+                    let parked_before = p.waiting.len();
+                    let mut route = PeRoute {
+                        out: net.outlet(Some(pe), now),
+                        now,
+                        busy,
+                        alu_busy: &mut p.alu_busy,
+                        next_struct: &mut next_struct,
+                    };
+                    core.step(pe as u32, &mut p.waiting, token, &mut route)?;
+                    p.busy_until = now + route.busy;
+                    waiting_total = waiting_total - parked_before + p.waiting.len();
                     peak_matching = peak_matching.max(waiting_total);
-                    let wake_at = pes[pe].busy_until;
-                    if pes[pe].queue.is_empty() {
-                        pes[pe].wake_scheduled = false;
+                    if p.queue.is_empty() {
+                        p.wake_scheduled = false;
                     } else {
-                        q.push(wake_at, Ev::Wake { pe });
+                        net.q.push(p.busy_until, Ev::Wake { pe });
                     }
                 }
-                Ev::IsOp {
-                    module,
-                    issuer,
-                    action,
-                } => match action {
-                    StructAction::Fetch { ptr, idx } => {
-                        let (local, size) = self.local_slot(ptr, idx);
-                        let m = &mut modules[module];
-                        let start = now.max(m.port_free);
-                        let done = start + cfg.istore_access;
-                        m.port_free = done;
-                        m.store.ensure(ptr.id, size);
-                        let before = m
-                            .store
-                            .store(ptr.id)
-                            .expect("just ensured")
-                            .presence(local)
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        if before == Presence::Present {
-                            is_immediate += 1;
-                            let v = *m
-                                .store
-                                .store(ptr.id)
-                                .expect("just ensured")
-                                .peek(local)
-                                .expect("present cell holds a value");
-                            trace(
-                                done,
-                                &TraceEvent::IStoreRead {
-                                    module: module as u32,
-                                    immediate: true,
-                                },
-                            );
-                            self.route_value(
-                                &program,
-                                &mut q,
-                                done,
-                                module,
-                                v,
-                                issuer,
-                                &mut tokens_remote,
-                            );
-                        } else {
-                            is_deferred += 1;
-                            for reader in continuation(issuer, dests_of(&program, issuer)) {
-                                m.store
-                                    .read(ptr.id, local, reader)
-                                    .expect("just ensured")
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                            }
-                            if sink.is_some() {
-                                let depth = m
-                                    .store
-                                    .store(ptr.id)
-                                    .expect("just ensured")
-                                    .deferred_count(local)
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                                trace(
-                                    done,
-                                    &TraceEvent::IStoreRead {
-                                        module: module as u32,
-                                        immediate: false,
-                                    },
-                                );
-                                trace(
-                                    done,
-                                    &TraceEvent::DeferEnqueue {
-                                        module: module as u32,
-                                        depth: depth as u64,
-                                    },
-                                );
-                                if before == Presence::Empty {
-                                    trace(
-                                        done,
-                                        &TraceEvent::Presence {
-                                            module: module as u32,
-                                            from: PresenceState::Empty,
-                                            to: PresenceState::Deferred,
-                                        },
-                                    );
-                                }
-                            }
-                        }
+                Ev::IsOp { module, op } => {
+                    let m = &mut modules[module];
+                    let start = now.max(m.port_free);
+                    // Writes cost 2x: presence-bit prefetch (§2.1).
+                    let access = match op.action {
+                        StructAction::Store { .. } => cfg.istore_access.saturating_mul(2),
+                        _ => cfg.istore_access,
+                    };
+                    let done = start + access;
+                    m.port_free = done;
+                    // A module creates its slice of a structure on first
+                    // access; an id no `IAlloc` made stays absent, and
+                    // the unit reports the pointer as dangling.
+                    let ptr = op.target().0;
+                    if ptr.id < next_struct {
+                        m.unit.ensure(ptr);
                     }
-                    StructAction::Store { ptr, idx, value } => {
-                        let (local, size) = self.local_slot(ptr, idx);
-                        let m = &mut modules[module];
-                        let start = now.max(m.port_free);
-                        // Writes cost 2x: presence-bit prefetch (§2.1).
-                        let done = start + cfg.istore_access.saturating_mul(2);
-                        m.port_free = done;
-                        m.store.ensure(ptr.id, size);
-                        let before = m
-                            .store
-                            .store(ptr.id)
-                            .expect("just ensured")
-                            .presence(local)
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        is_writes += 1;
-                        // A double write is an error (surfaced by the
-                        // store below), so only trace legal transitions.
-                        // DeferRelease precedes the released TokenEmits,
-                        // so its count comes from the pre-write depth.
-                        if sink.is_some() && before != Presence::Present {
-                            trace(
-                                done,
-                                &TraceEvent::IStoreWrite {
-                                    module: module as u32,
-                                },
-                            );
-                            trace(
-                                done,
-                                &TraceEvent::Presence {
-                                    module: module as u32,
-                                    from: before.as_trace(),
-                                    to: PresenceState::Present,
-                                },
-                            );
-                            if before == Presence::Deferred {
-                                let depth = m
-                                    .store
-                                    .store(ptr.id)
-                                    .expect("just ensured")
-                                    .deferred_count(local)
-                                    .map_err(|e| globalize(e, ptr, idx))?;
-                                trace(
-                                    done,
-                                    &TraceEvent::DeferRelease {
-                                        module: module as u32,
-                                        released: depth as u64,
-                                    },
-                                );
-                            }
-                        }
-                        // Released readers stream straight to the router
-                        // (the packed store's zero-allocation release).
-                        m.store
-                            .write_with(ptr.id, local, value, |(tag, port)| {
-                                self.route_one(
-                                    &mut q,
-                                    done,
-                                    module,
-                                    value,
-                                    tag,
-                                    port,
-                                    &mut tokens_remote,
-                                );
-                            })
-                            .expect("just ensured")
-                            .map_err(|e| globalize(e, ptr, idx))?;
-                        self.route_value(
-                            &program,
-                            &mut q,
-                            done,
-                            module,
-                            Value::Unit,
-                            issuer,
-                            &mut tokens_remote,
-                        );
-                    }
-                    StructAction::Alloc { .. } => unreachable!("alloc handled at the PE"),
-                },
+                    m.unit
+                        .apply(&program, op, &mut net.outlet(Some(module), done))?;
+                }
             }
         }
 
@@ -765,87 +442,168 @@ impl<T: Topology> TimedMachine<T> {
         let stranded: usize = waiting_total
             + modules
                 .iter()
-                .map(|m| m.store.deferred_outstanding())
+                .map(|m| m.unit.deferred_outstanding())
                 .sum::<usize>();
         if stranded > 0 {
             return Err(ExecError::Deadlock { stranded });
         }
         // The event queue drained and nothing is parked: every emitted
         // token has been consumed.
-        trace(end, &TraceEvent::Halt { in_flight: 0 });
+        if let Some(s) = &net.sink {
+            s.borrow_mut()
+                .record(end, &TraceEvent::Halt { in_flight: 0 });
+        }
+        let tokens_remote = net.tokens_remote;
 
         let per_pe_alu_busy: Vec<Cycle> = pes.iter().map(|p| p.alu_busy).collect();
         let alu_busy = per_pe_alu_busy.iter().copied().sum();
+        let counts = |f: fn(&IStoreCounts) -> u64| modules.iter().map(|m| f(&m.unit.counts)).sum();
         let net = self.fabric.stats();
         Ok(TimedResult {
-            outputs,
+            outputs: core.outputs,
             stats: MachineStats {
                 pes: n,
                 cycles: end,
-                instructions,
-                alu_ops,
+                instructions: core.fired,
+                alu_ops: core.alu_ops,
                 alu_busy,
                 per_pe_alu_busy,
                 tokens_delivered,
                 tokens_remote,
-                contexts: ctx.allocated(),
+                contexts: core.ctx.allocated(),
                 peak_matching,
                 match_overflows,
                 peak_queue,
-                istore_immediate: is_immediate,
-                istore_deferred: is_deferred,
-                istore_writes: is_writes,
+                istore_immediate: counts(|c| c.immediate),
+                istore_deferred: counts(|c| c.deferred),
+                istore_writes: counts(|c| c.writes),
                 net_packets: net.packets.get(),
                 net_mean_hops: net.mean_hops(),
             },
         })
     }
+}
 
-    /// Routes `value` from `from` to each continuation slot of the
-    /// structure op `issuer` fired.
-    #[allow(clippy::too_many_arguments)]
-    fn route_value(
-        &mut self,
-        program: &Program,
-        q: &mut EventQueue<Ev>,
-        at: Cycle,
-        from: usize,
-        value: Value,
-        issuer: ActivityName,
-        tokens_remote: &mut u64,
-    ) {
-        for (tag, port) in continuation(issuer, dests_of(program, issuer)) {
-            self.route_one(q, at, from, value, tag, port, tokens_remote);
+/// The interconnect of one run: the event queue and the network every
+/// output section sends through.
+struct Net<'a, T> {
+    q: EventQueue<Ev>,
+    fabric: &'a mut Fabric<T>,
+    sink: Option<SharedSink>,
+    cfg: TimedConfig,
+    /// Tokens and `d=1` packets that crossed the network.
+    tokens_remote: u64,
+}
+
+impl<'a, T> Net<'a, T> {
+    /// The output section of node `from` (`None` for the host, whose
+    /// input tokens arrive at once), sending at `at`.
+    fn outlet(&mut self, from: Option<usize>, at: Cycle) -> Outlet<'_, 'a, T> {
+        Outlet {
+            net: self,
+            from,
+            at,
+        }
+    }
+}
+
+/// The output section of one node — a PE, an I-structure module or the
+/// host — at one instant: a token stays on its PE through the local
+/// loopback or crosses the network.
+struct Outlet<'n, 'a, T> {
+    net: &'n mut Net<'a, T>,
+    from: Option<usize>,
+    at: Cycle,
+}
+
+impl<T: Topology> Outlet<'_, '_, T> {
+    /// When a packet sent now from this node reaches node `to`.
+    fn send(&mut self, to: usize) -> Cycle {
+        match self.from {
+            None => self.at,
+            Some(from) if from == to => self.at + self.net.cfg.local_delay,
+            Some(from) => {
+                self.net.tokens_remote += 1;
+                self.net.fabric.send(self.at, NodeId(from), NodeId(to))
+            }
+        }
+    }
+}
+
+impl<T: Topology> Emit for Outlet<'_, '_, T> {
+    fn traced(&self) -> bool {
+        self.net.sink.is_some()
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        if let Some(s) = &self.net.sink {
+            s.borrow_mut().record(self.at, &ev);
         }
     }
 
-    /// Routes a single token — the streaming unit [`route_value`]
-    /// iterates, and the zero-allocation release path of the packed
-    /// store invokes directly per released reader.
-    #[allow(clippy::too_many_arguments)]
-    fn route_one(
-        &mut self,
-        q: &mut EventQueue<Ev>,
-        at: Cycle,
-        from: usize,
-        value: Value,
-        tag: ActivityName,
-        port: Port,
-        tokens_remote: &mut u64,
-    ) {
-        let pe = self.pe_of(tag);
-        let token = Token::new(tag, port, value);
-        if let Some(s) = &self.sink {
-            s.borrow_mut()
-                .record(at, &TraceEvent::TokenEmit { pe: pe as u32 });
+    fn token(&mut self, token: Token) {
+        // The output section's mapping function.
+        let pes = self.net.fabric.topology().ports();
+        let pe = place(self.net.cfg.mapping, token.tag, pes);
+        self.trace(TraceEvent::TokenEmit { pe: pe as u32 });
+        let arrive = self.send(pe);
+        self.net.q.push(arrive, Ev::Deliver { pe, token });
+    }
+}
+
+/// A PE's route: it is busy for its service times, then its tokens and
+/// `d=1` packets leave through the output section.
+struct PeRoute<'n, 'a, T> {
+    out: Outlet<'n, 'a, T>,
+    /// When the PE took the token.
+    now: Cycle,
+    /// The PE's service time for this token so far.
+    busy: Cycle,
+    alu_busy: &'n mut Cycle,
+    next_struct: &'n mut u32,
+}
+
+impl<'n, 'a, T: Topology> Route for PeRoute<'n, 'a, T> {
+    type Out = Outlet<'n, 'a, T>;
+
+    fn out(&mut self) -> &mut Outlet<'n, 'a, T> {
+        &mut self.out
+    }
+
+    fn trace(&mut self, ev: TraceEvent) {
+        if let Some(s) = &self.out.net.sink {
+            s.borrow_mut().record(self.now, &ev);
         }
-        if pe == from {
-            q.push(at + self.config.local_delay, Ev::Deliver { pe, token });
-        } else {
-            *tokens_remote += 1;
-            let arrive = self.fabric.send(at, NodeId(from), NodeId(pe));
-            q.push(arrive, Ev::Deliver { pe, token });
+    }
+
+    fn fired(&mut self, alu: bool, emitted: usize) -> u64 {
+        let cfg = self.out.net.cfg;
+        self.busy += cfg.alu_time;
+        if alu {
+            *self.alu_busy += cfg.alu_time;
         }
+        self.busy += cfg.output_time.saturating_mul(emitted as u64);
+        self.out.at = self.now + self.busy;
+        self.busy.as_u64()
+    }
+
+    /// Allocation is a controller (`d=2`) job at the firing PE.
+    fn alloc(&mut self, _len: usize) -> u32 {
+        let id = *self.next_struct;
+        *self.next_struct += 1;
+        id
+    }
+
+    fn op(&mut self, op: StructOp) -> Result<(), ExecError> {
+        let (ptr, idx) = op.target();
+        let n = self.out.net.fabric.topology().ports();
+        let module = match self.out.net.cfg.placement {
+            StructPlacement::Interleaved => (ptr.id as usize + idx) % n,
+            StructPlacement::SingleModule => ptr.id as usize % n,
+        };
+        let arrive = self.out.send(module);
+        self.out.net.q.push(arrive, Ev::IsOp { module, op });
+        Ok(())
     }
 }
 
@@ -1064,23 +822,6 @@ mod tests {
             m.run(&[Value::Int(1)]).unwrap_err(),
             ExecError::IStructure(_)
         ));
-    }
-
-    #[test]
-    fn input_arity_checked() {
-        let mut g = GraphBuilder::new("t");
-        let x = g.param();
-        let out = g.output(0);
-        g.wire(x, out, 0);
-        let p = g.finish_program().unwrap();
-        let mut m = TimedMachine::ideal(p, 1, Cycle(1), TimedConfig::default());
-        assert_eq!(
-            m.run(&[]).unwrap_err(),
-            ExecError::InputArity {
-                expected: 1,
-                got: 0
-            }
-        );
     }
 
     #[test]

@@ -52,16 +52,11 @@ impl Wave {
         self.values.clear();
     }
 
-    /// Appends one token from its parts.
-    pub(crate) fn push(&mut self, tag: ActivityName, port: Port, value: Value) {
-        self.tags.push(tag);
-        self.ports.push(port);
-        self.values.push(value);
-    }
-
     /// Appends an interchange [`Token`].
     pub(crate) fn push_token(&mut self, t: Token) {
-        self.push(t.tag, t.port, t.value);
+        self.tags.push(t.tag);
+        self.ports.push(t.port);
+        self.values.push(t.value);
     }
 
     /// Appends every token of `ts`.
@@ -153,7 +148,7 @@ mod tests {
         let mut w = Wave::new();
         assert!(w.is_empty());
         for s in 0..6u32 {
-            w.push(tag(s), Port(0), Value::Int(s as i64));
+            w.push_token(Token::new(tag(s), Port(0), Value::Int(s as i64)));
         }
         assert_eq!(w.len(), 6);
         assert_eq!(w.token(3), Token::new(tag(3), Port(0), Value::Int(3)));
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(w.len(), 6);
         w.clear();
         assert!(w.is_empty());
-        w.push(tag(9), Port(1), Value::Unit);
+        w.push_token(Token::new(tag(9), Port(1), Value::Unit));
         assert_eq!(w.token(0), Token::new(tag(9), Port(1), Value::Unit));
     }
 
@@ -193,16 +188,13 @@ mod tests {
             .iter()
             .enumerate()
         {
-            w.push(
-                ActivityName {
-                    u: Ctx(0),
-                    c: p.main,
-                    s: *n,
-                    i: Iter::ONE,
-                },
-                Port(0),
-                Value::Int(k as i64),
-            );
+            let t = ActivityName {
+                u: Ctx(0),
+                c: p.main,
+                s: *n,
+                i: Iter::ONE,
+            };
+            w.push_token(Token::new(t, Port(0), Value::Int(k as i64)));
         }
         w.sort_by_criticality(&crit);
         let order: Vec<(u32, Value)> = w.iter_tokens().map(|t| (t.tag.s.0, t.value)).collect();

@@ -104,6 +104,14 @@ impl<T, R> IStructureShard<T, R> {
 }
 
 impl<T: Clone, R> IStructureShard<T, R> {
+    /// Visits every deferred reader parked anywhere in the shard,
+    /// structure by structure in no particular order.
+    pub fn for_each_deferred(&self, mut f: impl FnMut(&R)) {
+        for st in self.stores.values() {
+            st.for_each_deferred(&mut f);
+        }
+    }
+
     /// Reads `addr` of structure `id` on behalf of `reader`, updating
     /// the shard's outstanding-deferred count when the read parks.
     pub fn read(

@@ -1,7 +1,8 @@
 //! The cross-engine differential oracle.
 //!
-//! [`run_scenario`] executes one [`Scenario`] on every engine and
-//! reports a single [`Outcome`]:
+//! [`run_scenario`] executes one [`Scenario`] on every engine, each
+//! ordering its ready tokens by the one [`SchedPolicy`] the caller
+//! names, and reports a single [`Outcome`]:
 //!
 //! - the sequential [`Emulator`] is the reference execution;
 //! - the relaxed backend ([`RunMode::Relaxed`]) at 2, 4 and 8 worker
@@ -33,7 +34,8 @@
 use std::collections::HashMap;
 
 use ttda_core::{
-    EmuResult, Emulator, ExecError, Job, Program, RunMode, TimedConfig, TimedMachine, Value,
+    EmuResult, Emulator, ExecError, Job, Program, RunMode, SchedPolicy, TimedConfig, TimedMachine,
+    Value,
 };
 use ttda_mem::{
     Addr, EnumIStructure, FullEmptyMemory, PackedIStructure, ReadOutcome, TryReadOutcome,
@@ -155,8 +157,9 @@ impl std::fmt::Display for Outcome {
     }
 }
 
-/// Runs one scenario through every engine and judges the results.
-pub fn run_scenario(sc: &Scenario) -> Outcome {
+/// Runs one scenario through every engine, each scheduling its ready
+/// tokens by `sched`, and judges the results.
+pub fn run_scenario(sc: &Scenario, sched: SchedPolicy) -> Outcome {
     if let Spec::StoreSkew(spec) = &sc.spec {
         return run_store_skew(spec);
     }
@@ -183,6 +186,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     let seq = Emulator::new(&program)
         .with_fuel(DEFAULT_FUEL)
         .with_mode(RunMode::Sequential)
+        .with_sched(sched)
         .submit(&jobs);
     if seq == Err(ExecError::OutOfFuel) {
         return Outcome::FuelExhausted;
@@ -194,6 +198,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             .with_fuel(DEFAULT_FUEL)
             .with_threads(threads)
             .with_mode(RunMode::Relaxed)
+            .with_sched(sched)
             .submit(&jobs);
         if let Err(d) = confluent(&seq, &rel) {
             return Outcome::Divergence(format!("relaxed backend (threads={threads}) {d}"));
@@ -201,7 +206,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     }
 
     // Timed machine: same outputs (or same error variant).
-    let timed = TimedMachine::ideal(program.clone(), 4, Cycle(2), TimedConfig::default())
+    let cfg = TimedConfig {
+        sched,
+        ..TimedConfig::default()
+    };
+    let timed = TimedMachine::ideal(program.clone(), 4, Cycle(2), cfg)
         .with_fuel(DEFAULT_FUEL)
         .submit(&jobs);
     match (&seq, &timed) {
@@ -248,6 +257,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         let opt = Emulator::new(&opt_program)
             .with_fuel(DEFAULT_FUEL)
             .with_mode(RunMode::Sequential)
+            .with_sched(sched)
             .submit(&opt_jobs);
         match (&seq, &opt) {
             (Ok(s), Ok(o)) => {
@@ -412,21 +422,25 @@ fn run_store_skew(spec: &StoreSkewSpec) -> Outcome {
 /// Delta-debugs a diverging scenario to a local minimum. Returns the
 /// minimized scenario, the shrink-step count, and the (re-checked)
 /// outcome of the minimum.
-pub fn minimize_scenario(sc: &Scenario, budget: usize) -> (Scenario, usize, Outcome) {
+pub fn minimize_scenario(
+    sc: &Scenario,
+    sched: SchedPolicy,
+    budget: usize,
+) -> (Scenario, usize, Outcome) {
     let (min, steps) = check::minimize(
         sc.clone(),
         |s: &Scenario| s.shrink(),
-        |s: &Scenario| run_scenario(s).is_divergence(),
+        |s: &Scenario| run_scenario(s, sched).is_divergence(),
         budget,
     );
-    let outcome = run_scenario(&min);
+    let outcome = run_scenario(&min, sched);
     (min, steps, outcome)
 }
 
 /// Convenience: generate and judge in one call (the fuzz loop's body).
-pub fn check_seed(family: Family, seed: u64) -> (Scenario, Outcome) {
+pub fn check_seed(family: Family, seed: u64, sched: SchedPolicy) -> (Scenario, Outcome) {
     let sc = Scenario::generate(family, seed);
-    let outcome = run_scenario(&sc);
+    let outcome = run_scenario(&sc, sched);
     (sc, outcome)
 }
 
@@ -437,7 +451,7 @@ mod tests {
     #[test]
     fn a_benign_seed_agrees_in_every_family() {
         for family in Family::ALL {
-            let (sc, outcome) = check_seed(family, 1);
+            let (sc, outcome) = check_seed(family, 1, SchedPolicy::Fifo);
             assert!(
                 matches!(outcome, Outcome::Agree),
                 "{family} seed 1: {outcome}\n{:#?}",
@@ -449,8 +463,8 @@ mod tests {
     #[test]
     fn oracle_is_deterministic() {
         for family in Family::ALL {
-            let (_, a) = check_seed(family, 5);
-            let (_, b) = check_seed(family, 5);
+            let (_, a) = check_seed(family, 5, SchedPolicy::Fifo);
+            let (_, b) = check_seed(family, 5, SchedPolicy::Fifo);
             assert_eq!(a, b, "{family}");
         }
     }

@@ -392,3 +392,39 @@ fn loop_bound_forces_the_sequential_backend() {
         );
     }
 }
+
+#[test]
+fn every_engine_rejects_a_pointer_no_ialloc_made() {
+    // One IFetch through a pointer that arrives as an input. No IAlloc
+    // ever made it, so every engine must fail the same way: BadTarget,
+    // naming the dangling pointer. (The timed machine's modules create
+    // their slice of a structure on first access; they must not create
+    // one for an id that was never allocated.)
+    use ttda::core::{ExecError, GraphBuilder, OpCode, StructRef};
+    let mut g = GraphBuilder::new("dangling");
+    let ptr = g.param();
+    let idx = g.param();
+    let fetch = g.instr(OpCode::IFetch);
+    let out = g.output(0);
+    g.wire(ptr, fetch, 0)
+        .wire(idx, fetch, 1)
+        .wire(fetch, out, 0);
+    let p = g.finish_program().expect("valid graph");
+    let dangling = |r: Result<(), ExecError>, engine: &str, id: u32| match r {
+        Err(ExecError::BadTarget { activity }) => assert!(
+            activity.contains("dangling") && activity.contains(&format!("id: {id}")),
+            "{engine}, id {id}: {activity}"
+        ),
+        other => panic!("{engine}, id {id}: want a dangling BadTarget, got {other:?}"),
+    };
+    for (id, at) in [(0u32, 1i64), (3, 9)] {
+        let inputs = [Value::Ptr(StructRef { id, len: 4 }), Value::Int(at)];
+        dangling(Emulator::new(&p).run(&inputs).map(drop), "sequential", id);
+        let relaxed = Emulator::new(&p).with_threads(2).run(&inputs);
+        dangling(relaxed.map(drop), "relaxed", id);
+        for pes in [1, 4] {
+            let timed = TimedMachine::ideal(p.clone(), pes, Cycle(2), TimedConfig::default());
+            dangling(timed.with_fuel(1_000).run(&inputs).map(drop), "timed", id);
+        }
+    }
+}

@@ -4,10 +4,12 @@
 //! that once diverged, or that cover regimes worth permanent watch. Each
 //! is regenerated from its pair and judged by the full cross-engine
 //! oracle (sequential emulator, parallel backend at 2/4/8 threads, timed
-//! machine, optimizing compiler, reference answers). This is the
+//! machine, optimizing compiler, reference answers), once with every
+//! engine scheduling FIFO and once criticality-first. This is the
 //! PR-time arm of the fuzzer; the open-ended hunt runs nightly via
 //! `ttda-bench fuzz`.
 
+use ttda::core::SchedPolicy;
 use ttda::workloads::fuzz::{self, run_scenario, Family, Outcome, Scenario};
 
 const CORPUS: &str = include_str!("fuzz_regressions.txt");
@@ -35,21 +37,23 @@ fn corpus_is_large_and_diverse_enough() {
 
 #[test]
 fn every_pinned_scenario_agrees_across_engines() {
-    for (family, seed) in corpus() {
-        let sc = Scenario::generate(family, seed);
-        let outcome = run_scenario(&sc);
-        assert!(
-            !outcome.is_divergence(),
-            "pinned scenario {family} seed {seed} diverged:\n{outcome}\nspec: {:#?}",
-            sc.spec
-        );
-        // Pinned scenarios are also expected to run cleanly — an
-        // agree-on-error or fuel exhaustion here means a generator
-        // regression changed what the seed produces.
-        assert!(
-            matches!(outcome, Outcome::Agree),
-            "pinned scenario {family} seed {seed} no longer runs clean: {outcome}"
-        );
+    for sched in [SchedPolicy::Fifo, SchedPolicy::Crit] {
+        for (family, seed) in corpus() {
+            let sc = Scenario::generate(family, seed);
+            let outcome = run_scenario(&sc, sched);
+            assert!(
+                !outcome.is_divergence(),
+                "pinned scenario {family} seed {seed} ({sched}) diverged:\n{outcome}\nspec: {:#?}",
+                sc.spec
+            );
+            // Pinned scenarios are also expected to run cleanly — an
+            // agree-on-error or fuel exhaustion here means a generator
+            // regression changed what the seed produces.
+            assert!(
+                matches!(outcome, Outcome::Agree),
+                "pinned scenario {family} seed {seed} ({sched}) no longer runs clean: {outcome}"
+            );
+        }
     }
 }
 

@@ -58,12 +58,34 @@ fn parallel_backend_preserves_the_trace_ledger() {
     // Worker threads buffer their events locally and replay them into
     // the sink when the run ends. The order differs from a sequential
     // run, but the ledger must not: same tokens emitted and consumed,
-    // same firings, same structure traffic.
+    // same firings, same structure traffic. The timed machine traces
+    // through the same firing core and I-structure unit, so its ledger
+    // matches too.
     let p = ttda::idc::compile(ttda::workloads::id::producer_consumer()).unwrap();
     let seq_sink = shared(CountingSink::new());
     let seq = Emulator::new(&p)
         .with_sink(seq_sink.clone())
         .run(&[Value::Int(24)]);
+    let ledger = |c: &CountingSink| {
+        let m = c.metrics();
+        [
+            c.tokens_emitted(),
+            c.tokens_consumed(),
+            m.counter_value("match_fire"),
+            m.counter_value("istore_read"),
+            m.counter_value("istore_write"),
+        ]
+    };
+    let timed_sink = shared(CountingSink::new());
+    TimedMachine::ideal(p.clone(), 4, Cycle(3), TimedConfig::default())
+        .with_sink(timed_sink.clone())
+        .run(&[Value::Int(24)])
+        .expect("producer-consumer runs timed");
+    assert_eq!(
+        ledger(&counting(&timed_sink)),
+        ledger(&counting(&seq_sink)),
+        "timed vs sequential: [token_emit, token_consume, match_fire, istore_read, istore_write]"
+    );
     for threads in [2usize, 4] {
         let par_sink = shared(CountingSink::new());
         let par = Emulator::new(&p)
