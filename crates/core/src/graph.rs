@@ -212,7 +212,7 @@ pub struct CodeBlock {
     pub params: Vec<InstrId>,
     /// Per-instruction scheduling criticality: the remaining
     /// critical-path height of each instruction (see
-    /// [`Analysis::height`](crate::opt::analysis::Analysis::height)),
+    /// [`heights`](crate::opt::analysis::heights)),
     /// attached by [`annotate_criticality`](crate::opt::annotate_criticality)
     /// — `compile_optimized` does this for every compiled program.
     /// Empty means "not annotated"; schedulers recompute on demand.

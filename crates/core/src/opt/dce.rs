@@ -4,11 +4,17 @@
 //! removing it may strand its producers, so the scan iterates to a
 //! fixed point before the surviving instructions are renumbered.
 
-use std::collections::HashMap;
+use crate::graph::{CodeBlock, InstrId, OpCode};
 
-use crate::graph::{CodeBlock, Dest, InstrId, OpCode};
-
+use super::analysis::DefUse;
 use super::OptStats;
+
+/// Buffers the pass reuses from block to block.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    dead: Vec<bool>,
+    remap: Vec<u32>,
+}
 
 /// Whether removing a destination-less instance of `op` can never
 /// change the program's observable behaviour.
@@ -40,18 +46,23 @@ pub(super) fn is_pure(op: &OpCode) -> bool {
     )
 }
 
-/// Removes dead instructions and compacts ids. Always returns a fresh
-/// block (the pass pipeline runs it last, exactly once).
-pub(super) fn run(block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
-    let instrs = &block.instrs;
-    let params = &block.params;
-    let is_param = |id: usize| params.iter().any(|p| p.0 as usize == id);
-
-    let mut dead = vec![false; instrs.len()];
+/// Removes dead instructions and compacts ids, in place: live
+/// instructions move down to their new ids and keep their own `dests`
+/// buffers. `du` must describe `block` (only its parameter bitmap is
+/// read); the pass pipeline runs this last, exactly once per block.
+pub(super) fn run(
+    mut block: CodeBlock,
+    du: &DefUse,
+    bufs: &mut Buffers,
+    stats: &mut OptStats,
+) -> CodeBlock {
+    let dead = &mut bufs.dead;
+    dead.clear();
+    dead.resize(block.instrs.len(), false);
     loop {
         let mut changed = false;
-        for (i, ins) in instrs.iter().enumerate() {
-            if dead[i] || is_param(i) {
+        for (i, ins) in block.instrs.iter().enumerate() {
+            if dead[i] || du.is_param(i) {
                 continue;
             }
             let live_dests = ins
@@ -71,36 +82,35 @@ pub(super) fn run(block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
     stats.dead_removed += dead.iter().filter(|&&d| d).count();
 
     // Renumber: compact live instructions and remap ids.
-    let mut remap: HashMap<u32, u32> = HashMap::new();
-    let mut new_instrs = Vec::new();
-    for (i, ins) in instrs.iter().enumerate() {
-        if !dead[i] {
-            remap.insert(i as u32, new_instrs.len() as u32);
-            new_instrs.push(ins.clone());
+    let remap = &mut bufs.remap;
+    remap.clear();
+    let mut live = 0u32;
+    remap.extend(dead.iter().map(|&d| {
+        let id = live;
+        live += u32::from(!d);
+        id
+    }));
+    let mut i = 0;
+    block.instrs.retain_mut(|ins| {
+        let keep = !dead[i];
+        i += 1;
+        if keep {
+            ins.dests.retain_mut(|d| {
+                let t = d.instr.0 as usize;
+                d.instr = InstrId(remap[t]);
+                !dead[t]
+            });
         }
+        keep
+    });
+    for p in &mut block.params {
+        *p = InstrId(remap[p.0 as usize]);
     }
-    for ins in &mut new_instrs {
-        ins.dests = ins
-            .dests
-            .iter()
-            .filter(|d| !dead[d.instr.0 as usize])
-            .map(|d| Dest {
-                instr: InstrId(remap[&d.instr.0]),
-                ..*d
-            })
-            .collect();
-    }
-    let new_params = params.iter().map(|p| InstrId(remap[&p.0])).collect();
-
-    CodeBlock {
-        // Any criticality annotation on the input block describes the
-        // old instruction numbering; drop it (annotation runs after the
-        // whole pipeline, not inside it).
-        criticality: Vec::new(),
-        name: block.name.clone(),
-        instrs: new_instrs,
-        params: new_params,
-    }
+    // Any criticality annotation on the input block describes the old
+    // instruction numbering; drop it (annotation runs after the whole
+    // pipeline, not inside it).
+    block.criticality = Vec::new();
+    block
 }
 
 #[cfg(test)]

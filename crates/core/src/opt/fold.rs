@@ -5,7 +5,7 @@
 //! classical CFG folding does not: an instruction's inputs are token
 //! streams, and a rewrite must preserve not just the value but *when
 //! and how often* tokens flow. The rules, in terms of the
-//! [`uncond`](super::analysis::Analysis::uncond) set:
+//! [`uncond`](super::analysis::DefUse::uncond) set:
 //!
 //! * A candidate with **one** incoming edge (everything else literal)
 //!   may always fold: the surviving edge becomes the trigger of the
@@ -21,13 +21,11 @@
 //!   is kept as the trigger so the replacement still fires once per
 //!   incoming token, with that token's tag.
 
-use std::collections::HashMap;
-
-use crate::graph::{CodeBlock, DestBranch, OpCode};
+use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, OpCode};
 use crate::tag::Port;
 use crate::value::Value;
 
-use super::analysis::{Analysis, InEdge, Ty};
+use super::analysis::{DefUse, InEdge, Ty};
 use super::OptStats;
 
 /// What happens to the edges feeding one rewritten instruction, keyed
@@ -44,7 +42,7 @@ enum PortAct {
 }
 
 /// A planned rewrite of one instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Rewrite {
     /// The replacement opcode (`Const` or `Identity`; `nt` becomes 1
     /// and any literal is cleared).
@@ -56,27 +54,46 @@ struct Rewrite {
     acts: [PortAct; 2],
 }
 
-/// Runs one folding sweep. Returns whether anything changed.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let mut changed = hoist_const_triggers(block, stats);
-    changed |= fold_sweep(block, stats);
-    changed
+/// Buffers the pass reuses from block to block and round to round.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    /// The planned rewrite per instruction.
+    plans: Vec<Option<Rewrite>>,
+    /// Constant-trigger hoists: (const instr, old parent, new root,
+    /// selector at the root).
+    moves: Vec<(usize, usize, usize, DestBranch)>,
+}
+
+/// Runs one folding sweep. Returns whether anything changed; `du`
+/// describes `block` on entry and on return.
+pub(super) fn run(
+    block: &mut CodeBlock,
+    du: &mut DefUse,
+    bufs: &mut Buffers,
+    stats: &mut OptStats,
+) -> bool {
+    let hoisted = hoist_const_triggers(block, du, &mut bufs.moves, stats);
+    if hoisted {
+        du.rebuild(block);
+    }
+    let folded = fold_sweep(block, du, &mut bufs.plans, stats);
+    if folded {
+        du.rebuild(block);
+    }
+    hoisted | folded
 }
 
 /// The value statically known to arrive at `(i, port)`, if any: a
 /// literal, or the output of a `Const` reached by the port's single
 /// `Always` edge.
-fn known_at(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Option<Value> {
+fn known_at(block: &CodeBlock, du: &DefUse, i: usize, port: u8) -> Option<Value> {
     let ins = &block.instrs[i];
     if let Some((lp, lv)) = &ins.literal {
         if lp.0 == port {
             return Some(*lv);
         }
     }
-    let mut feeds = an.in_edges[i].iter().filter(|e| e.port.0 == port);
-    let (Some(e), None) = (feeds.next(), feeds.next()) else {
-        return None;
-    };
+    let e = only_edge_at(du, i, port)?;
     if e.when != DestBranch::Always {
         return None;
     }
@@ -87,29 +104,33 @@ fn known_at(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Option<Valu
 }
 
 /// Every in-edge of `i` feeding `port`.
-fn edges_at(an: &Analysis, i: usize, port: u8) -> Vec<&InEdge> {
-    an.in_edges[i].iter().filter(|e| e.port.0 == port).collect()
+fn edges_at(du: &DefUse, i: usize, port: u8) -> impl Iterator<Item = &InEdge> {
+    du.in_edges[i].iter().filter(move |e| e.port.0 == port)
+}
+
+/// The in-edge of `i` feeding `port`, if it is the only one.
+fn only_edge_at(du: &DefUse, i: usize, port: u8) -> Option<InEdge> {
+    let mut es = edges_at(du, i, port);
+    match (es.next(), es.next()) {
+        (Some(&e), None) => Some(e),
+        _ => None,
+    }
 }
 
 /// The proven type of the value stream arriving at `(i, port)`: the
 /// join of the producing instructions' types (and the literal, if the
 /// port is literal-occupied).
-fn port_ty(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Ty {
+fn port_ty(block: &CodeBlock, du: &DefUse, i: usize, port: u8) -> Ty {
     let ins = &block.instrs[i];
     if let Some((lp, lv)) = &ins.literal {
         if lp.0 == port {
-            return match lv {
-                Value::Int(_) => Ty::Int,
-                Value::Float(_) => Ty::Float,
-                Value::Bool(_) => Ty::Bool,
-                _ => Ty::Any,
-            };
+            return Ty::of_value(lv);
         }
     }
     let mut t: Option<Ty> = None;
-    for e in &an.in_edges[i] {
+    for e in &du.in_edges[i] {
         if e.port.0 == port {
-            let s = an.ty[e.src.0 as usize];
+            let s = du.ty[e.src.0 as usize];
             t = Some(match t {
                 None => s,
                 Some(cur) if cur == s => cur,
@@ -120,92 +141,88 @@ fn port_ty(block: &CodeBlock, an: &Analysis, i: usize, port: u8) -> Ty {
     t.unwrap_or(Ty::Any)
 }
 
-fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let an = Analysis::of(block);
-    let n = block.instrs.len();
-    let mut plans: HashMap<usize, Rewrite> = HashMap::new();
+fn fold_sweep(
+    block: &mut CodeBlock,
+    du: &DefUse,
+    plans: &mut Vec<Option<Rewrite>>,
+    stats: &mut OptStats,
+) -> bool {
+    plans.clear();
+    plans.resize(block.instrs.len(), None);
     let mut folded = 0usize;
     let mut resolved = 0usize;
     let mut algebraic = 0usize;
 
-    for i in 0..n {
-        let ins = &block.instrs[i];
-        if block.params.iter().any(|p| p.0 as usize == i) {
+    for (i, plan) in plans.iter_mut().enumerate() {
+        if du.is_param(i) {
             continue;
         }
-        match ins.op {
+        match block.instrs[i].op {
             OpCode::Alu(_) | OpCode::Cmp(_) | OpCode::Not | OpCode::And | OpCode::Or => {}
             OpCode::Switch => {
-                if let Some(rw) = plan_switch(block, &an, i) {
-                    resolved += 1;
-                    plans.insert(i, rw);
-                }
+                *plan = plan_switch(block, du, i);
+                resolved += usize::from(plan.is_some());
                 continue;
             }
             _ => continue,
         }
-        if let Some(rw) = plan_const_fold(block, &an, i) {
+        if let Some(rw) = plan_const_fold(block, du, i) {
             folded += 1;
-            plans.insert(i, rw);
-        } else if let Some(rw) = plan_algebraic(block, &an, i) {
+            *plan = Some(rw);
+        } else if let Some(rw) = plan_algebraic(block, du, i) {
             algebraic += 1;
-            plans.insert(i, rw);
+            *plan = Some(rw);
         }
     }
 
-    if plans.is_empty() {
+    if folded + resolved + algebraic == 0 {
         return false;
     }
 
-    // Apply: one sweep over every destination list (composing a
-    // resolved Switch's own branch filter with its targets' port
+    // Apply: one in-place sweep over every destination list (composing
+    // a resolved Switch's own branch filter with its targets' port
     // actions), then rewrite the planned instructions themselves.
-    for i in 0..n {
-        let my_take = plans.get(&i).and_then(|r| r.take);
+    for (i, ins) in block.instrs.iter_mut().enumerate() {
+        let my_take = plans[i].and_then(|r| r.take);
         let needs = my_take.is_some()
-            || block.instrs[i]
+            || ins
                 .dests
                 .iter()
-                .any(|d| plans.contains_key(&(d.instr.0 as usize)));
+                .any(|d| plans[d.instr.0 as usize].is_some());
         if !needs {
             continue;
         }
-        let old = std::mem::take(&mut block.instrs[i].dests);
-        let mut nd = Vec::with_capacity(old.len());
-        for mut d in old {
+        ins.dests.retain_mut(|d| {
             if let Some(br) = my_take {
                 if d.when != br {
-                    continue; // the untaken branch never fired
+                    return false; // the untaken branch never fired
                 }
                 d.when = DestBranch::Always;
             }
-            match plans.get(&(d.instr.0 as usize)) {
-                None => nd.push(d),
+            match &plans[d.instr.0 as usize] {
+                None => true,
                 Some(rw) => match rw.acts[d.port.0 as usize] {
-                    PortAct::Keep => nd.push(d),
+                    PortAct::Keep => true,
                     PortAct::ToPort0 => {
                         d.port = Port(0);
-                        nd.push(d);
+                        true
                     }
-                    PortAct::Drop => {}
+                    PortAct::Drop => false,
                 },
             }
-        }
-        block.instrs[i].dests = nd;
+        });
     }
-    for (&i, rw) in &plans {
-        let ins = &mut block.instrs[i];
+    for (ins, rw) in block.instrs.iter_mut().zip(plans.iter()) {
+        let Some(rw) = rw else { continue };
         ins.op = rw.op;
         ins.nt = 1;
         ins.literal = None;
-        if let Some(br) = rw.take {
-            // Already filtered above via `my_take`; nothing further —
-            // the selector rewrite happened in the dest sweep.
-            debug_assert!(
-                ins.dests.iter().all(|d| d.when == DestBranch::Always),
-                "{br:?}"
-            );
-        }
+        // A resolved Switch's selectors were rewritten in the dest
+        // sweep above.
+        debug_assert!(
+            rw.take.is_none() || ins.dests.iter().all(|d| d.when == DestBranch::Always),
+            "{rw:?}"
+        );
     }
     stats.consts_folded += folded;
     stats.switches_resolved += resolved;
@@ -215,25 +232,26 @@ fn fold_sweep(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
 
 /// Folds an ALU/compare/boolean instruction whose every operand is
 /// statically known.
-fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
+fn plan_const_fold(block: &CodeBlock, du: &DefUse, i: usize) -> Option<Rewrite> {
     let ins = &block.instrs[i];
     let arity = ins.op.arity();
     let mut vals: [Option<Value>; 2] = [None, None];
     let mut edged: [bool; 2] = [false, false];
     let mut total_edges = 0usize;
     for p in 0..arity {
-        let es = edges_at(an, i, p);
-        if es.len() > 1 {
+        let mut es = edges_at(du, i, p);
+        let first = es.next();
+        if es.next().is_some() {
             return None; // multi-token port: fires more than once
         }
-        if let Some(e) = es.first() {
+        if let Some(e) = first {
             if e.src.0 as usize == i {
                 return None;
             }
             edged[p as usize] = true;
             total_edges += 1;
         }
-        vals[p as usize] = known_at(block, an, i, p);
+        vals[p as usize] = known_at(block, du, i, p);
         vals[p as usize]?;
     }
     if total_edges == 0 {
@@ -242,8 +260,8 @@ fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite
     // With multiple live edges, dropping any requires every producer to
     // be unconditional (all tokens are the same per-activation event).
     if total_edges >= 2 {
-        for e in &an.in_edges[i] {
-            if !an.uncond[e.src.0 as usize] {
+        for e in &du.in_edges[i] {
+            if !du.uncond[e.src.0 as usize] {
                 return None;
             }
         }
@@ -291,7 +309,7 @@ fn plan_const_fold(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite
 }
 
 /// Resolves a `Switch` whose control input is statically known.
-fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
+fn plan_switch(block: &CodeBlock, du: &DefUse, i: usize) -> Option<Rewrite> {
     let ins = &block.instrs[i];
     let data_lit = ins
         .literal
@@ -303,8 +321,6 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
         .as_ref()
         .filter(|(lp, _)| lp.0 == 1)
         .map(|(_, v)| *v);
-    let ctl_edges = edges_at(an, i, 1);
-    let data_edges = edges_at(an, i, 0);
 
     if let Some(Value::Bool(b)) = ctl_lit {
         // Literal control: every data token is routed the same way;
@@ -324,8 +340,8 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
     // per-activation event, so the data side must be one too (a data
     // stream with other tags would only ever match the one control
     // token — forwarding *all* of it would change behaviour).
-    let &[ctl] = &ctl_edges[..] else { return None };
-    if ctl.when != DestBranch::Always || !an.uncond[ctl.src.0 as usize] {
+    let ctl = only_edge_at(du, i, 1)?;
+    if ctl.when != DestBranch::Always || !du.uncond[ctl.src.0 as usize] {
         return None;
     }
     let OpCode::Const(Value::Bool(b)) = block.instrs[ctl.src.0 as usize].op else {
@@ -346,10 +362,8 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
             acts: [PortAct::Keep, PortAct::ToPort0],
         });
     }
-    let &[data] = &data_edges[..] else {
-        return None;
-    };
-    if data.when != DestBranch::Always || !an.uncond[data.src.0 as usize] {
+    let data = only_edge_at(du, i, 0)?;
+    if data.when != DestBranch::Always || !du.uncond[data.src.0 as usize] {
         return None;
     }
     Some(Rewrite {
@@ -365,17 +379,17 @@ fn plan_switch(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
 /// literal silently promotes a float operand, so `x + 0` is not the
 /// float identity — and `-0.0`/NaN make the float cases unattractive),
 /// and boolean absorption requires a proven `Bool`.
-fn plan_algebraic(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite> {
+fn plan_algebraic(block: &CodeBlock, du: &DefUse, i: usize) -> Option<Rewrite> {
     use crate::value::AluOp;
     let ins = &block.instrs[i];
     let (lp, lv) = ins.literal.as_ref()?;
     let lit_port = lp.0;
     let var_port = 1 - lit_port;
-    let var_edges = edges_at(an, i, var_port);
-    if var_edges.is_empty() || var_edges.iter().any(|e| e.src.0 as usize == i) {
+    let mut var_edges = edges_at(du, i, var_port).peekable();
+    if var_edges.peek().is_none() || var_edges.any(|e| e.src.0 as usize == i) {
         return None;
     }
-    let vty = port_ty(block, an, i, var_port);
+    let vty = port_ty(block, du, i, var_port);
     // `Identity` keeps every data edge (retargeted to port 0), so the
     // rewrite is per-token safe for any number of edges; same for the
     // absorbing `Const`, whose data edges become triggers.
@@ -417,23 +431,23 @@ fn plan_algebraic(block: &CodeBlock, an: &Analysis, i: usize) -> Option<Rewrite>
 /// really triggered by whatever fires the chain's root, so the edge can
 /// skip the intermediate hops (which then die in DCE). `Const` emits
 /// with its trigger token's tag, so hoisting is unconditionally safe.
-fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
-    let an = Analysis::of(block);
+fn hoist_const_triggers(
+    block: &mut CodeBlock,
+    du: &DefUse,
+    moves: &mut Vec<(usize, usize, usize, DestBranch)>,
+    stats: &mut OptStats,
+) -> bool {
     let n = block.instrs.len();
     let single_const_trigger = |i: usize| -> Option<InEdge> {
-        if !matches!(block.instrs[i].op, OpCode::Const(_)) {
+        if !matches!(block.instrs[i].op, OpCode::Const(_)) || du.is_param(i) {
             return None;
         }
-        if block.params.iter().any(|p| p.0 as usize == i) {
-            return None;
-        }
-        let &[e] = &an.in_edges[i][..] else {
+        let &[e] = &du.in_edges[i] else {
             return None;
         };
         Some(e)
     };
-    // plan: (const instr, old parent, new root, selector at the root)
-    let mut moves: Vec<(usize, usize, usize, DestBranch)> = Vec::new();
+    moves.clear();
     for i in 0..n {
         let Some(e) = single_const_trigger(i) else {
             continue;
@@ -469,7 +483,7 @@ fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     if moves.is_empty() {
         return false;
     }
-    for &(i, parent, root, when) in &moves {
+    for &(i, parent, root, when) in moves.iter() {
         // Remove the one parent→i edge, then wire root→i as the new
         // trigger.
         if let Some(pos) = block.instrs[parent]
@@ -479,8 +493,8 @@ fn hoist_const_triggers(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         {
             block.instrs[parent].dests.remove(pos);
         }
-        block.instrs[root].dests.push(crate::graph::Dest {
-            instr: crate::graph::InstrId(i as u32),
+        block.instrs[root].dests.push(Dest {
+            instr: InstrId(i as u32),
             port: Port(0),
             when,
         });

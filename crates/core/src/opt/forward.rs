@@ -7,27 +7,47 @@
 //! block once per collapsed junction, an O(n²) cost that a 10k-junction
 //! chain turns into ~10⁸ dest-list rebuilds; this version resolves each
 //! junction's *flattened* destination list once, in post-order (path
-//! compression over the identity subgraph), and then rewires every edge
-//! in a single sweep — O(total edges) overall.
+//! compression over the identity subgraph, all of them in one flat
+//! buffer), and then rewires every edge in a single sweep — O(total
+//! edges) overall.
 
 use crate::graph::{CodeBlock, Dest, OpCode};
 
+use super::analysis::DefUse;
 use super::OptStats;
 
+/// Buffers the pass reuses from block to block and round to round.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    collapsible: Vec<bool>,
+    state: Vec<u8>,
+    postorder: Vec<u32>,
+    stack: Vec<(u32, u32)>,
+    /// Per junction: its flattened destination list as a range of
+    /// `flat_dests`.
+    flat: Vec<(u32, u32)>,
+    flat_dests: Vec<Dest>,
+    rewired: Vec<Dest>,
+}
+
 /// Collapses every forwardable `Identity` junction. Returns whether
-/// anything changed.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
+/// anything changed; `du` describes `block` on entry and on return.
+pub(super) fn run(
+    block: &mut CodeBlock,
+    du: &mut DefUse,
+    bufs: &mut Buffers,
+    stats: &mut OptStats,
+) -> bool {
     let n = block.instrs.len();
-    let mut collapsible: Vec<bool> = block
-        .instrs
-        .iter()
-        .enumerate()
-        .map(|(i, ins)| {
-            ins.op == OpCode::Identity
-                && ins.literal.is_none()
-                && !block.params.iter().any(|p| p.0 as usize == i)
-        })
-        .collect();
+    let collapsible = &mut bufs.collapsible;
+    collapsible.clear();
+    collapsible.extend(
+        block
+            .instrs
+            .iter()
+            .enumerate()
+            .map(|(i, ins)| ins.op == OpCode::Identity && ins.literal.is_none() && !du.is_param(i)),
+    );
     if !collapsible.iter().any(|&c| c) {
         return false;
     }
@@ -40,23 +60,30 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
     const UNSEEN: u8 = 0;
     const OPEN: u8 = 1;
     const DONE: u8 = 2;
-    let mut state = vec![UNSEEN; n];
-    let mut postorder: Vec<usize> = Vec::new();
+    let state = &mut bufs.state;
+    state.clear();
+    state.resize(n, UNSEEN);
+    let postorder = &mut bufs.postorder;
+    postorder.clear();
+    postorder.reserve(n);
+    let stack = &mut bufs.stack;
+    stack.reserve(n);
     for start in 0..n {
         if !collapsible[start] || state[start] != UNSEEN {
             continue;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        stack.push((start as u32, 0));
         state[start] = OPEN;
         while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            if *idx < block.instrs[node].dests.len() {
-                let t = block.instrs[node].dests[*idx].instr.0 as usize;
+            let node = node as usize;
+            if let Some(d) = block.instrs[node].dests.get(*idx as usize) {
+                let t = d.instr.0 as usize;
                 *idx += 1;
                 if collapsible[t] {
                     match state[t] {
                         UNSEEN => {
                             state[t] = OPEN;
-                            stack.push((t, 0));
+                            stack.push((t as u32, 0));
                         }
                         OPEN => collapsible[t] = false,
                         _ => {}
@@ -64,62 +91,67 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
                 }
             } else {
                 state[node] = DONE;
-                postorder.push(node);
+                postorder.push(node as u32);
                 stack.pop();
             }
         }
     }
 
-    // Phase 2: flattened destination lists, children before parents.
-    // An identity's own out-edges are all `Always` (it is not a
-    // `Switch`), so the flattening never has branch selectors to
-    // compose — the *incoming* edge's selector is applied at rewire
-    // time.
-    let mut flat: Vec<Vec<Dest>> = vec![Vec::new(); n];
-    for &node in &postorder {
+    // Phase 2: flattened destination lists, children before parents,
+    // each appended to one flat buffer. An identity's own out-edges are
+    // all `Always` (it is not a `Switch`), so the flattening never has
+    // branch selectors to compose — the *incoming* edge's selector is
+    // applied at rewire time.
+    let flat = &mut bufs.flat;
+    flat.clear();
+    flat.resize(n, (0, 0));
+    let flat_dests = &mut bufs.flat_dests;
+    flat_dests.clear();
+    for &node in postorder.iter() {
+        let node = node as usize;
         if !collapsible[node] {
             continue;
         }
-        let mut f = Vec::new();
+        let begin = flat_dests.len() as u32;
         for d in &block.instrs[node].dests {
             let t = d.instr.0 as usize;
             if collapsible[t] {
-                f.extend(flat[t].iter().copied());
+                let (b, e) = flat[t];
+                flat_dests.extend_from_within(b as usize..e as usize);
             } else {
-                f.push(*d);
+                flat_dests.push(*d);
             }
         }
-        flat[node] = f;
+        flat[node] = (begin, flat_dests.len() as u32);
     }
 
     // Phase 3: one rewiring sweep, composing each incoming edge's
     // branch selector over the junction's flattened list.
+    let rewired = &mut bufs.rewired;
     for i in 0..n {
         if collapsible[i] {
             continue;
         }
-        if !block.instrs[i]
-            .dests
-            .iter()
-            .any(|d| collapsible[d.instr.0 as usize])
-        {
+        let dests = &mut block.instrs[i].dests;
+        if !dests.iter().any(|d| collapsible[d.instr.0 as usize]) {
             continue;
         }
-        let old = std::mem::take(&mut block.instrs[i].dests);
-        let mut nd = Vec::with_capacity(old.len());
-        for d in old {
+        rewired.clear();
+        for d in dests.iter() {
             let t = d.instr.0 as usize;
             if collapsible[t] {
-                nd.extend(flat[t].iter().map(|vd| Dest {
+                let (b, e) = flat[t];
+                rewired.extend(flat_dests[b as usize..e as usize].iter().map(|vd| Dest {
                     instr: vd.instr,
                     port: vd.port,
                     when: d.when,
                 }));
             } else {
-                nd.push(d);
+                rewired.push(*d);
             }
         }
-        block.instrs[i].dests = nd;
+        dests.clear();
+        dests.extend_from_slice(rewired);
     }
 
     // The victims keep their slots but become unreachable dead code;
@@ -134,6 +166,9 @@ pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) -> bool {
         }
     }
     stats.identities_collapsed += removed;
+    if removed > 0 {
+        du.rebuild(block);
+    }
     removed > 0
 }
 

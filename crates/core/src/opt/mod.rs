@@ -31,8 +31,13 @@
 //! exactly what optimization is supposed to change.
 //!
 //! Pass-ordering and rewrite-safety rules are documented in DESIGN.md
-//! §14; per-pass analyses live in [`analysis`] and are rebuilt from
-//! scratch after every rewriting pass (every rewrite invalidates).
+//! §14. The passes read one def-use index per block
+//! ([`analysis::DefUse`]: CSR in-edges, parameter bitmap, types and the
+//! unconditional set); every rewrite invalidates it, so it is rebuilt —
+//! never patched — after each one, into buffers that one
+//! [`PassManager::run`] allocates once and reuses for every block and
+//! round. Criticality ([`annotate_criticality`]) runs after the pipeline
+//! and computes only what it needs: heights ([`analysis::heights`]).
 
 pub mod analysis;
 
@@ -117,8 +122,10 @@ pub struct OptStats {
 
 /// Drives the optimization pipeline at a chosen [`OptLevel`].
 ///
-/// The manager is stateless between runs; analyses are per-block and
-/// rebuilt after every rewriting pass.
+/// The manager is stateless between runs. Within one run, the def-use
+/// index and the passes' working buffers are allocated once and reused
+/// for every block and every round; the index is rebuilt after every
+/// rewrite.
 #[derive(Debug, Clone, Copy)]
 pub struct PassManager {
     level: OptLevel,
@@ -149,10 +156,11 @@ impl PassManager {
     /// assertion.
     pub fn run(&self, program: &Program) -> (Program, OptStats) {
         let mut stats = OptStats::default();
+        let mut scratch = Scratch::default();
         let blocks = program
             .blocks
             .iter()
-            .map(|b| self.run_block(b, &mut stats))
+            .map(|b| self.run_block(b, &mut scratch, &mut stats))
             .collect();
         let out = Program {
             blocks,
@@ -162,30 +170,46 @@ impl PassManager {
         (out, stats)
     }
 
-    fn run_block(&self, block: &CodeBlock, stats: &mut OptStats) -> CodeBlock {
+    fn run_block(&self, block: &CodeBlock, s: &mut Scratch, stats: &mut OptStats) -> CodeBlock {
         if self.level == OptLevel::O0 {
             return block.clone();
         }
         let mut b = block.clone();
+        // Every pass receives the index describing the block it is
+        // given and returns it describing the block it leaves.
+        let du = &mut s.du;
+        du.rebuild(&b);
         if self.level >= OptLevel::O2 {
             // Unrolling runs exactly once, on the pristine codegen
             // schema: forwarding would dissolve the loop-top Identity
             // junctions the recognizer pattern-matches, and re-running
             // it after peeling would peel the peeled loop again.
-            unroll::run(&mut b, stats);
+            unroll::run(&mut b, du, &mut s.unroll, stats);
             for _ in 0..FIXPOINT_ROUNDS {
-                let mut changed = forward::run(&mut b, stats);
-                changed |= fold::run(&mut b, stats);
-                changed |= cse::run(&mut b, stats);
+                let mut changed = forward::run(&mut b, du, &mut s.forward, stats);
+                changed |= fold::run(&mut b, du, &mut s.fold, stats);
+                changed |= cse::run(&mut b, du, &mut s.cse, stats);
                 if !changed {
                     break;
                 }
             }
         } else {
-            forward::run(&mut b, stats);
+            forward::run(&mut b, du, &mut s.forward, stats);
         }
-        dce::run(&b, stats)
+        dce::run(b, du, &mut s.dce, stats)
     }
+}
+
+/// The def-use index and every pass's working buffers, shared by all
+/// blocks of one [`PassManager::run`] and dropped with it.
+#[derive(Debug, Default)]
+struct Scratch {
+    du: analysis::DefUse,
+    unroll: unroll::Buffers,
+    forward: forward::Buffers,
+    fold: fold::Buffers,
+    cse: cse::Buffers,
+    dce: dce::Buffers,
 }
 
 /// Optimizes a program at the default level ([`OptLevel::O1`] — identity
@@ -201,9 +225,8 @@ pub fn optimize_at(program: &Program, level: OptLevel) -> (Program, OptStats) {
 
 /// Attaches per-instruction scheduling criticality to every block: each
 /// block's [`CodeBlock::criticality`](crate::CodeBlock) is set to the
-/// block's [`Analysis::height`](analysis::Analysis::height) — the
-/// remaining critical-path length below each instruction over the
-/// back-edge-free dataflow DAG.
+/// block's [`heights`](analysis::heights) — the remaining critical-path
+/// length below each instruction over the back-edge-free dataflow DAG.
 ///
 /// This is the compile-time half of criticality-aware scheduling
 /// (DESIGN.md §15): it runs *after* the whole pass pipeline (every
@@ -213,8 +236,9 @@ pub fn optimize_at(program: &Program, level: OptLevel) -> (Program, OptStats) {
 /// heights on demand for unannotated programs, so calling this is a
 /// compile-time-vs-run-time tradeoff, never a behavioural switch.
 pub fn annotate_criticality(program: &mut Program) {
+    let mut dag = analysis::Dag::default();
     for b in &mut program.blocks {
-        b.criticality = analysis::Analysis::of(b).height;
+        b.criticality = dag.heights(b);
     }
 }
 
@@ -431,7 +455,7 @@ mod tests {
         annotate_criticality(&mut p);
         let b = &p.blocks[0];
         assert_eq!(b.criticality.len(), b.instrs.len());
-        assert_eq!(b.criticality, analysis::Analysis::of(b).height);
+        assert_eq!(b.criticality, analysis::heights(b));
         assert!(b.criticality.iter().any(|&h| h > 0), "some chain exists");
         // Annotation is metadata only: results are untouched.
         let r = Emulator::new(&p).run(&[Value::Int(100)]).unwrap();

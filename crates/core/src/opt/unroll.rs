@@ -32,12 +32,11 @@
 //!
 //! [`GraphBuilder::dataflow_loop`]: crate::GraphBuilder::dataflow_loop
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-
 use crate::graph::{CodeBlock, Dest, DestBranch, InstrId, Instruction, OpCode};
 use crate::tag::Port;
 use crate::value::{AluOp, Value};
 
+use super::analysis::{DefUse, InEdge};
 use super::OptStats;
 
 /// Schema ceiling: loops with more circulating variables than a human
@@ -71,6 +70,39 @@ struct LoopShape {
     body: Vec<usize>,
 }
 
+impl LoopShape {
+    /// The variable whose loop top is `t`.
+    fn var_of_top(&self, t: u32) -> usize {
+        self.top
+            .iter()
+            .position(|&x| x == t as usize)
+            .expect("the predicate is fed by loop tops only")
+    }
+
+    /// Where a body edge from `src` (with selector `when`) comes from in
+    /// the current clone: the clone of a body node, or for a body entry
+    /// junction, the variable's current value.
+    fn resolve(
+        &self,
+        src: u32,
+        when: DestBranch,
+        clones: &[u32],
+        cur: &[(u32, DestBranch)],
+    ) -> (u32, DestBranch) {
+        match clones[src as usize] {
+            NONE => {
+                let k = self
+                    .body_in
+                    .iter()
+                    .position(|&b| b == src as usize)
+                    .expect("body edges come from the body or its entries");
+                cur[k]
+            }
+            c => (c, when),
+        }
+    }
+}
+
 enum Trip {
     /// Statically known and small enough to unroll.
     Known(u64),
@@ -80,63 +112,106 @@ enum Trip {
     Unknown,
 }
 
-/// Transforms every eligible loop in the block, at most once each.
-pub(super) fn run(block: &mut CodeBlock, stats: &mut OptStats) {
-    let mut done: HashSet<u32> = HashSet::new();
-    loop {
-        // Rebuilt per transform: each apply invalidates edge indexes.
-        let ins_of = in_edge_table(block);
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, ins) in block.instrs.iter().enumerate() {
-            if let OpCode::D { loop_id } = ins.op {
-                groups.entry(loop_id).or_default().push(i);
-            }
+/// Buffers the pass reuses from block to block.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    /// `(loop id, D instruction)` for every `D` of the block.
+    loops: Vec<(u32, u32)>,
+    /// Per instruction: the [`Role`] bits [`recognize`] assigns, or
+    /// the deleted mark of [`apply_unroll`].
+    marks: Vec<u8>,
+    /// The body walk's FIFO queue.
+    queue: Vec<usize>,
+    /// Original body instruction → its clone ([`NONE`] for the rest).
+    clones: Vec<u32>,
+    cur: Vec<(u32, DestBranch)>,
+    next: Vec<(u32, DestBranch)>,
+}
+
+/// Role bits in [`Buffers::marks`].
+struct Role;
+
+impl Role {
+    /// `D`, loop top, `L`, `Switch`, body entry, `D⁻¹` or predicate.
+    const MACHINERY: u8 = 1;
+    /// An `L` re-entry.
+    const L: u8 = 2;
+    /// A body entry junction.
+    const BODY_IN: u8 = 4;
+    /// A body instruction.
+    const BODY: u8 = 8;
+    /// A loop top.
+    const TOP: u8 = 16;
+}
+
+/// No clone.
+const NONE: u32 = u32::MAX;
+
+/// Transforms every eligible loop in the block, at most once each, in
+/// loop-id order. `du` describes `block` on entry and on return.
+///
+/// The `D`s are grouped once, up front: a transform only appends
+/// instructions that are not `D`s and retires its own loop's machinery
+/// and body (which holds no `D`), so every other loop's group is the
+/// same before and after it.
+pub(super) fn run(
+    block: &mut CodeBlock,
+    du: &mut DefUse,
+    bufs: &mut Buffers,
+    stats: &mut OptStats,
+) {
+    bufs.loops.clear();
+    for (i, ins) in block.instrs.iter().enumerate() {
+        if let OpCode::D { loop_id } = ins.op {
+            bufs.loops.push((loop_id, i as u32));
         }
-        let Some((lid, ds)) = groups.into_iter().find(|(lid, _)| !done.contains(lid)) else {
-            return;
-        };
+    }
+    bufs.loops.sort_unstable();
+    let mut at = 0;
+    while at < bufs.loops.len() {
+        let lid = bufs.loops[at].0;
+        let len = bufs.loops[at..]
+            .iter()
+            .take_while(|&&(l, _)| l == lid)
+            .count();
+        let group = at..at + len;
+        at += len;
         // A peeled loop keeps its `D`s and would re-match the schema;
-        // marking the id first makes every loop a one-shot candidate.
-        done.insert(lid);
-        let Some(lp) = recognize(block, &ins_of, &ds) else {
+        // visiting each id once makes every loop a one-shot candidate.
+        let Some(lp) = recognize(block, du, bufs, group) else {
             continue;
         };
-        match trip_count(block, &ins_of, &lp) {
+        match trip_count(block, du, &lp) {
             Trip::Known(trips) => {
-                apply_unroll(block, &ins_of, &lp, trips);
+                apply_unroll(block, du, bufs, &lp, trips);
                 stats.loops_unrolled += 1;
             }
             Trip::Unknown if lp.body.len() <= MAX_BODY_PEEL => {
-                apply_peel(block, &ins_of, &lp);
+                apply_peel(block, du, bufs, &lp);
                 stats.loops_peeled += 1;
             }
-            _ => {}
+            _ => continue,
         }
+        du.rebuild(block);
     }
-}
-
-type InEdges = Vec<Vec<(u32, u8, DestBranch)>>;
-
-fn in_edge_table(block: &CodeBlock) -> InEdges {
-    let mut t: InEdges = vec![Vec::new(); block.instrs.len()];
-    for (i, ins) in block.instrs.iter().enumerate() {
-        for d in &ins.dests {
-            t[d.instr.0 as usize].push((i as u32, d.port.0, d.when));
-        }
-    }
-    t
 }
 
 /// Matches the full codegen schema for one loop-id group, or bails.
-fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopShape> {
-    if ds.is_empty() || ds.len() > MAX_VARS {
+fn recognize(
+    block: &CodeBlock,
+    du: &DefUse,
+    bufs: &mut Buffers,
+    group: std::ops::Range<usize>,
+) -> Option<LoopShape> {
+    if group.is_empty() || group.len() > MAX_VARS {
         return None;
     }
     let instr = |i: usize| &block.instrs[i];
-    let is_param = |i: usize| block.params.iter().any(|p| p.0 as usize == i);
+    let is_param = |i: usize| du.is_param(i);
+    let ins_of = &du.in_edges;
 
     // Per variable: D -> top <- L, and the edges feeding D and L.
-    let d = ds.to_vec();
+    let d: Vec<usize> = bufs.loops[group].iter().map(|&(_, i)| i as usize).collect();
     let mut top = Vec::with_capacity(d.len());
     let mut l = Vec::with_capacity(d.len());
     let mut init = Vec::with_capacity(d.len());
@@ -145,7 +220,12 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
         if is_param(dk) {
             return None;
         }
-        let &[(isrc, 0, iw)] = &ins_of[dk][..] else {
+        let &[InEdge {
+            src: InstrId(isrc),
+            port: Port(0),
+            when: iw,
+        }] = &ins_of[dk]
+        else {
             return None;
         };
         init.push((isrc, iw));
@@ -160,12 +240,13 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
             return None;
         }
         let tes = &ins_of[t];
-        if tes.len() != 2 || !tes.iter().any(|&(s, _, _)| s as usize == dk) {
+        if tes.len() != 2 || !tes.iter().any(|e| e.src.0 as usize == dk) {
             return None;
         }
         let mut lk = None;
-        for &(s, p, w) in tes {
-            if p != 0 || w != DestBranch::Always {
+        for e in tes {
+            let s = e.src.0;
+            if e.port != Port(0) || e.when != DestBranch::Always {
                 return None;
             }
             if s as usize == dk {
@@ -180,7 +261,12 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
         if instr(lk).dests[..] != [dd] {
             return None;
         }
-        let &[(nsrc, 0, nw)] = &ins_of[lk][..] else {
+        let &[InEdge {
+            src: InstrId(nsrc),
+            port: Port(0),
+            when: nw,
+        }] = &ins_of[lk]
+        else {
             return None;
         };
         next.push((nsrc, nw));
@@ -213,9 +299,14 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
     if !matches!(instr(pred).op, OpCode::Cmp(_)) || is_param(pred) {
         return None;
     }
-    let top_set: HashSet<usize> = top.iter().copied().collect();
-    for &(s, _, w) in &ins_of[pred] {
-        if w != DestBranch::Always || !top_set.contains(&(s as usize)) {
+    let marks = &mut bufs.marks;
+    marks.clear();
+    marks.resize(block.instrs.len(), 0);
+    for &t in &top {
+        marks[t] |= Role::TOP;
+    }
+    for e in &ins_of[pred] {
+        if e.when != DestBranch::Always || marks[e.src.0 as usize] & Role::TOP == 0 {
             return None;
         }
     }
@@ -244,10 +335,12 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
             return None;
         }
         let es = &ins_of[swk];
-        if es.len() != 2
-            || !es.contains(&(top[k] as u32, 0, DestBranch::Always))
-            || !es.contains(&(pred as u32, 1, DestBranch::Always))
-        {
+        let always = |src: usize, port: u8| InEdge {
+            src: InstrId(src as u32),
+            port: Port(port),
+            when: DestBranch::Always,
+        };
+        if es.len() != 2 || !es.contains(&always(top[k], 0)) || !es.contains(&always(pred, 1)) {
             return None;
         }
         let &[a, b] = &instr(swk).dests[..] else {
@@ -280,26 +373,32 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
     // The body: the dataflow closure from the body_in junctions down to
     // the L re-entries. Only per-token pure value ops are eligible — a
     // call, a structure op, or another loop's tag machinery bails.
-    let mut machinery: HashSet<usize> = HashSet::new();
-    machinery.extend(d.iter().chain(&top).chain(&l).chain(&sw));
-    machinery.extend(body_in.iter().chain(&dinv));
-    machinery.insert(pred);
-    let l_set: HashSet<usize> = l.iter().copied().collect();
-    let bin_set: HashSet<usize> = body_in.iter().copied().collect();
+    for &m in d.iter().chain(&top).chain(&sw).chain(&dinv) {
+        marks[m] |= Role::MACHINERY;
+    }
+    for &m in &l {
+        marks[m] |= Role::MACHINERY | Role::L;
+    }
+    for &m in &body_in {
+        marks[m] |= Role::MACHINERY | Role::BODY_IN;
+    }
+    marks[pred] |= Role::MACHINERY;
 
     let mut body = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    let queue = &mut bufs.queue;
+    queue.clear();
     for &bi in &body_in {
         for dd in &instr(bi).dests {
-            queue.push_back(dd.instr.0 as usize);
+            queue.push(dd.instr.0 as usize);
         }
     }
-    while let Some(x) = queue.pop_front() {
-        if l_set.contains(&x) || seen.contains(&x) {
+    let mut head = 0;
+    while let Some(&x) = queue.get(head) {
+        head += 1;
+        if marks[x] & (Role::L | Role::BODY) != 0 {
             continue;
         }
-        if machinery.contains(&x) || is_param(x) {
+        if marks[x] & Role::MACHINERY != 0 || is_param(x) {
             return None;
         }
         match instr(x).op {
@@ -313,10 +412,10 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
             | OpCode::Switch => {}
             _ => return None,
         }
-        seen.insert(x);
+        marks[x] |= Role::BODY;
         body.push(x);
         for dd in &instr(x).dests {
-            queue.push_back(dd.instr.0 as usize);
+            queue.push(dd.instr.0 as usize);
         }
     }
     if body.len() > MAX_BODY_UNROLL {
@@ -325,22 +424,19 @@ fn recognize(block: &CodeBlock, ins_of: &InEdges, ds: &[usize]) -> Option<LoopSh
     // Closure must be closed: body inputs only from body/body_in, body
     // outputs only into body/L, next values from body/body_in.
     for &b in &body {
-        for &(s, _, _) in &ins_of[b] {
-            let s = s as usize;
-            if !seen.contains(&s) && !bin_set.contains(&s) {
+        for e in &ins_of[b] {
+            if marks[e.src.0 as usize] & (Role::BODY | Role::BODY_IN) == 0 {
                 return None;
             }
         }
         for dd in &instr(b).dests {
-            let t = dd.instr.0 as usize;
-            if !seen.contains(&t) && !l_set.contains(&t) {
+            if marks[dd.instr.0 as usize] & (Role::BODY | Role::L) == 0 {
                 return None;
             }
         }
     }
     for &(ns, _) in &next {
-        let ns = ns as usize;
-        if !seen.contains(&ns) && !bin_set.contains(&ns) {
+        if marks[ns as usize] & (Role::BODY | Role::BODY_IN) == 0 {
             return None;
         }
     }
@@ -369,23 +465,11 @@ enum Opnd {
 /// Simulates the induction variable against the predicate: constant
 /// `Int` start, constant `Int` step on a single `Add`, and every other
 /// predicate operand a loop-invariant constant.
-fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
+fn trip_count(block: &CodeBlock, du: &DefUse, lp: &LoopShape) -> Trip {
     let nvars = lp.d.len();
     let OpCode::Cmp(cmp) = block.instrs[lp.pred].op else {
         return Trip::Unknown;
     };
-    let top_var: HashMap<u32, usize> = lp
-        .top
-        .iter()
-        .enumerate()
-        .map(|(k, &t)| (t as u32, k))
-        .collect();
-    let bin_var: HashMap<u32, usize> = lp
-        .body_in
-        .iter()
-        .enumerate()
-        .map(|(k, &b)| (b as u32, k))
-        .collect();
     let invariant: Vec<bool> = (0..nvars)
         .map(|k| lp.next[k].0 as usize == lp.body_in[k])
         .collect();
@@ -403,12 +487,12 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
     if let Some((p, v)) = block.instrs[lp.pred].literal {
         ops[p.0 as usize] = Some(Opnd::Lit(v));
     }
-    for &(s, p, _) in &ins_of[lp.pred] {
-        let slot = &mut ops[p as usize];
+    for e in &du.in_edges[lp.pred] {
+        let slot = &mut ops[e.port.0 as usize];
         if slot.is_some() {
             return Trip::Unknown; // a join on a predicate port
         }
-        *slot = Some(Opnd::Var(top_var[&s]));
+        *slot = Some(Opnd::Var(lp.var_of_top(e.src.0)));
     }
     let (Some(o0), Some(o1)) = (ops[0], ops[1]) else {
         return Trip::Unknown;
@@ -448,12 +532,12 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
     if let Some((p, v)) = a.literal {
         aops[p.0 as usize] = Some(Opnd::Lit(v));
     }
-    for &(s, p, _) in &ins_of[a_ix] {
-        let slot = &mut aops[p as usize];
+    for e in &du.in_edges[a_ix] {
+        let slot = &mut aops[e.port.0 as usize];
         if slot.is_some() {
             return Trip::Unknown;
         }
-        let Some(&j) = bin_var.get(&s) else {
+        let Some(j) = lp.body_in.iter().position(|&b| b == e.src.0 as usize) else {
             return Trip::Unknown; // fed by another body node: not simple
         };
         *slot = Some(Opnd::Var(j));
@@ -510,90 +594,90 @@ fn trip_count(block: &CodeBlock, ins_of: &InEdges, lp: &LoopShape) -> Trip {
 }
 
 /// Clones the loop body once, wiring clone-internal edges as in the
-/// original and substituting `cur[k]` for each `body_in[k]` source.
-/// Returns original-body-index -> clone-index.
+/// original (read from `du`, which still describes the block as it was
+/// recognized) and substituting `cur[k]` for each `body_in[k]` source.
+/// Leaves original-body-index -> clone-index in `clones`.
 fn clone_body_once(
     block: &mut CodeBlock,
+    du: &DefUse,
     lp: &LoopShape,
-    body_edges: &HashMap<usize, Vec<(u32, u8, DestBranch)>>,
-    bin_var: &HashMap<u32, usize>,
+    clones: &mut [u32],
     cur: &[(u32, DestBranch)],
-) -> HashMap<u32, u32> {
-    let mut cm: HashMap<u32, u32> = HashMap::new();
+) {
     for &b in &lp.body {
-        let (op, nt, literal) = {
-            let o = &block.instrs[b];
-            (o.op, o.nt, o.literal)
-        };
-        let id = block.instrs.len() as u32;
-        block.instrs.push(Instruction {
-            op,
-            nt,
-            literal,
+        let o = &block.instrs[b];
+        let ins = Instruction {
+            op: o.op,
+            nt: o.nt,
+            literal: o.literal,
             dests: Vec::new(),
-        });
-        cm.insert(b as u32, id);
+        };
+        clones[b] = block.instrs.len() as u32;
+        block.instrs.push(ins);
     }
     for &b in &lp.body {
-        let tgt = cm[&(b as u32)];
-        for &(src, port, when) in &body_edges[&b] {
+        let tgt = clones[b];
+        for e in &du.in_edges[b] {
             // A body_in is an Identity, so its out-edge is Always and
             // the substituted edge carries cur's selector instead.
-            let (ns, nw) = match cm.get(&src) {
-                Some(&c) => (c, when),
-                None => cur[bin_var[&src]],
-            };
+            let (ns, nw) = lp.resolve(e.src.0, e.when, clones, cur);
             block.instrs[ns as usize].dests.push(Dest {
                 instr: InstrId(tgt),
-                port: Port(port),
+                port: e.port,
                 when: nw,
             });
         }
     }
-    cm
 }
 
+/// Each variable's next value after one more body clone, into `next`.
 fn resolve_next(
     lp: &LoopShape,
-    cm: &HashMap<u32, u32>,
-    bin_var: &HashMap<u32, usize>,
+    clones: &[u32],
     cur: &[(u32, DestBranch)],
-) -> Vec<(u32, DestBranch)> {
-    lp.next
-        .iter()
-        .map(|&(ns, nw)| match cm.get(&ns) {
-            Some(&c) => (c, nw),
-            None => cur[bin_var[&ns]],
-        })
-        .collect()
+    next: &mut Vec<(u32, DestBranch)>,
+) {
+    next.clear();
+    next.extend(
+        lp.next
+            .iter()
+            .map(|&(ns, nw)| lp.resolve(ns, nw, clones, cur)),
+    );
 }
 
-fn bin_var_map(lp: &LoopShape) -> HashMap<u32, usize> {
-    lp.body_in
-        .iter()
-        .enumerate()
-        .map(|(k, &b)| (b as u32, k))
-        .collect()
-}
-
-fn body_edge_map(ins_of: &InEdges, lp: &LoopShape) -> HashMap<usize, Vec<(u32, u8, DestBranch)>> {
-    lp.body.iter().map(|&b| (b, ins_of[b].clone())).collect()
+/// `clones` sized for the block `du` describes, with no clone yet.
+fn reset_clones(clones: &mut Vec<u32>, du: &DefUse) {
+    clones.clear();
+    clones.resize(du.in_edges.len(), NONE);
 }
 
 /// Replaces the whole loop with `trips` straight-line body copies.
-fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: u64) {
+fn apply_unroll(
+    block: &mut CodeBlock,
+    du: &DefUse,
+    bufs: &mut Buffers,
+    lp: &LoopShape,
+    trips: u64,
+) {
     let exits: Vec<Vec<Dest>> = lp
         .dinv
         .iter()
         .map(|&dv| block.instrs[dv].dests.clone())
         .collect();
-    let bin_var = bin_var_map(lp);
-    let body_edges = body_edge_map(ins_of, lp);
-
-    let mut cur: Vec<(u32, DestBranch)> = lp.init.clone();
+    let Buffers {
+        marks,
+        clones,
+        cur,
+        next,
+        ..
+    } = bufs;
+    reset_clones(clones, du);
+    cur.clear();
+    cur.extend_from_slice(&lp.init);
     for _ in 0..trips {
-        let cm = clone_body_once(block, lp, &body_edges, &bin_var, &cur);
-        cur = resolve_next(lp, &cm, &bin_var, &cur);
+        clone_body_once(block, du, lp, clones, cur);
+        resolve_next(lp, clones, cur, next);
+        std::mem::swap(cur, next);
     }
     // After the last iteration each variable's value feeds the old exit
     // consumers directly (for zero trips, that is the init edge itself).
@@ -608,7 +692,9 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
         }
     }
     // Retire the machinery and the original body; DCE reaps the Sinks.
-    let mut deleted: HashSet<u32> = HashSet::new();
+    const DELETED: u8 = 1;
+    marks.clear();
+    marks.resize(block.instrs.len(), 0);
     for set in [
         &lp.d,
         &lp.top,
@@ -618,18 +704,20 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
         &lp.dinv,
         &lp.body,
     ] {
-        deleted.extend(set.iter().map(|&i| i as u32));
+        for &i in set {
+            marks[i] = DELETED;
+        }
     }
-    deleted.insert(lp.pred as u32);
-    for &i in &deleted {
-        let ins = &mut block.instrs[i as usize];
-        ins.op = OpCode::Sink;
-        ins.nt = 1;
-        ins.literal = None;
-        ins.dests.clear();
-    }
-    for ins in &mut block.instrs {
-        ins.dests.retain(|dd| !deleted.contains(&dd.instr.0));
+    marks[lp.pred] = DELETED;
+    for (ins, &m) in block.instrs.iter_mut().zip(marks.iter()) {
+        if m == DELETED {
+            ins.op = OpCode::Sink;
+            ins.nt = 1;
+            ins.literal = None;
+            ins.dests.clear();
+        } else {
+            ins.dests.retain(|dd| marks[dd.instr.0 as usize] != DELETED);
+        }
     }
 }
 
@@ -642,16 +730,8 @@ fn apply_unroll(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape, trips: 
 ///                                      │
 ///                                      ▼ old exit consumers
 /// ```
-fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
+fn apply_peel(block: &mut CodeBlock, du: &DefUse, bufs: &mut Buffers, lp: &LoopShape) {
     let nvars = lp.d.len();
-    let top_var: HashMap<u32, usize> = lp
-        .top
-        .iter()
-        .enumerate()
-        .map(|(k, &t)| (t as u32, k))
-        .collect();
-    let bin_var = bin_var_map(lp);
-    let body_edges = body_edge_map(ins_of, lp);
 
     // A fresh copy of the predicate, fed by the init edges exactly as
     // the original is fed by the loop tops.
@@ -664,19 +744,21 @@ fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
         dests: Vec::new(),
     };
     block.instrs.push(pred0_instr);
-    for &(s, port, _) in &ins_of[lp.pred] {
-        let k = top_var[&s];
-        let (isrc, iw) = lp.init[k];
+    for e in &du.in_edges[lp.pred] {
+        let (isrc, iw) = lp.init[lp.var_of_top(e.src.0)];
         block.instrs[isrc as usize].dests.push(Dest {
             instr: InstrId(pred0 as u32),
-            port: Port(port),
+            port: e.port,
             when: iw,
         });
     }
 
     // Per variable: a gating switch on the fresh predicate and an exit
     // join that both the false branch and the loop's DInv feed.
-    let mut s0 = Vec::with_capacity(nvars);
+    let Buffers {
+        clones, cur, next, ..
+    } = bufs;
+    cur.clear();
     for k in 0..nvars {
         let sk = block.instrs.len();
         block.instrs.push(Instruction::new(OpCode::Switch));
@@ -705,22 +787,19 @@ fn apply_peel(block: &mut CodeBlock, ins_of: &InEdges, lp: &LoopShape) {
             port: Port(0),
             when: DestBranch::IfFalse,
         });
-        s0.push(sk);
+        cur.push((sk as u32, DestBranch::IfTrue));
     }
 
     // The inits no longer feed the Ds directly...
-    let d_set: HashSet<u32> = lp.d.iter().map(|&i| i as u32).collect();
     for ins in &mut block.instrs {
-        ins.dests.retain(|dd| !d_set.contains(&dd.instr.0));
+        ins.dests
+            .retain(|dd| !lp.d.contains(&(dd.instr.0 as usize)));
     }
     // ...the peeled body copy does, with its inputs gated through S₀.
-    let cur: Vec<(u32, DestBranch)> = s0
-        .iter()
-        .map(|&sk| (sk as u32, DestBranch::IfTrue))
-        .collect();
-    let cm = clone_body_once(block, lp, &body_edges, &bin_var, &cur);
-    let next0 = resolve_next(lp, &cm, &bin_var, &cur);
-    for (k, &(ns, nw)) in next0.iter().enumerate() {
+    reset_clones(clones, du);
+    clone_body_once(block, du, lp, clones, cur);
+    resolve_next(lp, clones, cur, next);
+    for (k, &(ns, nw)) in next.iter().enumerate() {
         block.instrs[ns as usize].dests.push(Dest {
             instr: InstrId(lp.d[k] as u32),
             port: Port(0),

@@ -7,7 +7,7 @@
 //! * [`SchedPolicy::Fifo`] — arrival order, the historical behaviour.
 //! * [`SchedPolicy::Crit`] — longest-remaining-path first: tokens aimed
 //!   at instructions with greater critical-path *height*
-//!   ([`Analysis::height`](crate::opt::analysis::Analysis::height)) go
+//!   ([`heights`](crate::opt::analysis::heights)) go
 //!   first, because they gate longer dependence chains (Navada &
 //!   Krishna's criticality-aware scheduling, applied to a tagged-token
 //!   machine). Ties always break by arrival order, so a graph whose
@@ -65,7 +65,7 @@ impl CritMap {
                     if b.criticality.len() == b.instrs.len() {
                         b.criticality.clone()
                     } else {
-                        crate::opt::analysis::Analysis::of(b).height
+                        crate::opt::analysis::heights(b)
                     }
                 })
                 .collect(),

@@ -1,11 +1,13 @@
-//! The firing path allocates nothing in the steady state.
+//! The firing path allocates nothing in the steady state, and the
+//! optimizer allocates little per instruction.
 //!
 //! A counting `#[global_allocator]` measures whole engine runs: building
 //! the engine, every firing, and the result. Each program fires tens of
 //! thousands of instructions, so an allocation per firing would exceed
 //! its pinned ceiling many times over. What may still allocate — per run,
 //! per structure, or as a table grows — is listed in DESIGN.md under
-//! "Firing-path allocation contract".
+//! "Firing-path allocation contract". The same counter measures `O2` plus
+//! criticality annotation over generated programs (DESIGN.md §14).
 //!
 //! This file holds a single `#[test]` on purpose: the counter is
 //! process-wide, and a second test running on another thread would
@@ -21,6 +23,7 @@ use ttda::core::{
 };
 use ttda::net::{FabricConfig, Hypercube};
 use ttda::sim::Cycle;
+use ttda::workloads::fuzz::{Family, Scenario};
 use ttda::workloads::{id, reference};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -159,5 +162,44 @@ fn engines_allocate_per_run_not_per_firing() {
         allocs <= 800,
         "fib k=16: timed machine made {allocs} allocations for {} firings (ceiling 800)",
         r.stats.instructions
+    );
+
+    // The optimizer: `O2` plus criticality annotation, the compile half of
+    // an end-to-end job, over generated programs from the five
+    // single-program fuzz families in equal numbers, as the `compile-mix`
+    // benchmark draws them. A per-instruction `String`, `Vec` or map in
+    // the passes or their analyses costs at least one allocation per
+    // instruction per fixpoint round and breaks the ceiling of 2 per
+    // compiled instruction. When it was pinned the set measured 1.3: each
+    // block's `dests` lists are cloned once (about 0.9), and the rest is
+    // per block and per run (scratch buffers, output vectors), so small
+    // programs sit above the mean and large ones below it.
+    let families = [
+        Family::Expr,
+        Family::HotSkew,
+        Family::DeferChain,
+        Family::TagRecursion,
+        Family::FanoutJoin,
+    ];
+    let programs: Vec<Program> = families
+        .iter()
+        .flat_map(|&family| {
+            (0..24).flat_map(move |seed| Scenario::generate(family, seed).sources())
+        })
+        .map(|src| ttda::idc::compile(&src).expect("generated programs compile"))
+        .collect();
+    let instrs: usize = programs.iter().map(Program::instr_count).sum();
+    let ((), allocs) = counted(|| {
+        for p in &programs {
+            let (mut q, _) = optimize_at(p, OptLevel::O2);
+            annotate_criticality(&mut q);
+            std::hint::black_box(&q);
+        }
+    });
+    assert!(
+        allocs <= 2 * instrs as u64,
+        "O2 + criticality made {allocs} allocations for {instrs} compiled instructions \
+         in {} programs (ceiling 2 per instruction)",
+        programs.len()
     );
 }
